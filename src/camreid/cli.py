@@ -1,10 +1,11 @@
 """Command-line front end for pipeline stages and ablations.
 
-All commands share a flag set (--config, --seed, --out, --deterministic,
---workers, --precision, --force) and write their results under the output
-directory, one subdirectory per stage with a digest manifest.  Failures
-print a machine-readable JSON error record to stderr and return a nonzero
-exit code.
+All commands share a flag set (--config, --seed, --out, --precision,
+--force) and write their results under the output directory, one
+subdirectory per stage with a digest manifest.  Command ``c`` runs
+``pipeline.stage_<c>`` (dashes become underscores), looked up when the
+command runs.  Failures print a machine-readable JSON error record to stderr
+and return a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="pipeline config JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force single-worker sequential execution for bit-exact reruns",
-    )
-    p.add_argument("--workers", type=int, default=None, help="worker count (>= 1)")
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
     p.add_argument("--force", action="store_true", help="allow overwriting existing stage outputs")
 
@@ -70,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", choices=("cid", "tsd"), default="cid")
         if name == "evaluate":
             p.add_argument("--checkpoint", choices=("cid", "tsd"), default="tsd")
-            p.add_argument("--no-ccr", action="store_true", help="skip the camera reduction")
+            p.add_argument(
+                "--no-ccr", dest="use_ccr", action="store_false", help="skip the camera reduction"
+            )
         if name == "ablate":
             p.add_argument(
                 "--axis",
@@ -97,18 +94,8 @@ def _resolve_config(args) -> pl.PipelineConfig:
         config = pl.PipelineConfig.from_payload(payload)
     else:
         config = pl.PipelineConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.precision is not None:
-        overrides["precision"] = args.precision
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.deterministic:
-        overrides["deterministic"] = True
-        overrides["workers"] = 1
-    if overrides:
-        config = config.with_overrides(**overrides)
+    overrides = {k: getattr(args, k) for k in ("seed", "precision") if getattr(args, k) is not None}
+    config = config.with_overrides(**overrides)
     config.validate()
     return config
 
@@ -121,32 +108,19 @@ def main(argv=None) -> int:
     )
     try:
         config = _resolve_config(args)
-        root = args.out
-        pl.write_config(root, config, force=args.force)
-        if args.command == "simulate":
-            pl.stage_simulate(root, config, args.force)
-        elif args.command == "train-cid":
-            pl.stage_train_cid(root, config, args.force)
-        elif args.command == "extract":
-            pl.stage_extract(root, config, args.force, checkpoint=args.checkpoint)
-        elif args.command == "trackletize":
-            pl.stage_trackletize(root, config, args.force)
-        elif args.command == "train-tsd":
-            pl.stage_train_tsd(root, config, args.force)
-        elif args.command == "fit-ccr":
-            pl.stage_fit_ccr(root, config, args.force)
-        elif args.command == "evaluate":
-            pl.stage_evaluate(
-                root, config, args.force, checkpoint=args.checkpoint, use_ccr=not args.no_ccr
-            )
-            print((root / "eval" / "report.txt").read_text(), end="")
-        elif args.command == "run":
-            pl.stage_run_all(root, config, args.force)
-            print((root / "eval" / "report.txt").read_text(), end="")
+        options = {k: v for k, v in vars(args).items() if k in ("checkpoint", "use_ccr", "axis")}
+        if args.command == "ablate":
+            try:
+                options["values"] = None if args.values is None else json.loads(args.values)
+            except json.JSONDecodeError as e:
+                raise InvalidInputError(f"--values is not valid JSON ({e})") from e
+        pl.write_config(args.out, config, force=args.force)
+        stage = getattr(pl, "stage_" + args.command.replace("-", "_"))
+        result = stage(args.out, config, force=args.force, **options)
+        if args.command in ("evaluate", "run"):
+            print((args.out / "eval" / "report.txt").read_text(), end="")
         elif args.command == "ablate":
-            values = json.loads(args.values) if args.values else None
-            rows = pl.stage_ablate(root, config, args.axis, values, args.force)
-            for row in rows:
+            for row in result:
                 print(json.dumps(row, sort_keys=True))
         return 0
     except CamreidError as e:

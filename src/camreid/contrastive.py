@@ -112,13 +112,17 @@ def _batch_info_nce(q: np.ndarray, k_pos: np.ndarray, negatives: np.ndarray, tem
         raise InvalidInputError("negative bank is empty")
     b = q.shape[0]
     l_pos = np.sum(q * k_pos, axis=1, keepdims=True) / temperature
-    l_neg = (q @ negatives.T) / temperature
+    # The B x (K+1) steps run in place: each fresh buffer of that size is
+    # mapped and faulted in anew, which costs more than the arithmetic.
+    l_neg = q @ negatives.T
+    l_neg /= temperature
     logits = np.concatenate([l_pos, l_neg], axis=1)
     m = logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits - m)
-    z = ex.sum(axis=1, keepdims=True)
+    logits -= m
+    p = np.exp(logits, out=logits)
+    z = p.sum(axis=1, keepdims=True)
     losses = -(l_pos - m) + np.log(z)
-    p = ex / z
+    p /= z
     # d(mean loss)/dq_i = ((p_pos - 1) k+_i + sum_j p_ij k-_j) / (t B)
     grad_q = ((p[:, :1] - 1.0) * k_pos + p[:, 1:] @ negatives) / (temperature * b)
     grad_k_pos = (p[:, :1] - 1.0) * q / (temperature * b)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ccr as ccr_mod
-from . import encoder as enc
 from .errors import DegenerateInputError, InvalidInputError
 from .synth import DetectionTable
 
@@ -150,38 +148,17 @@ def _match_lists(protocol: EvalProtocol, query_emb: np.ndarray, gallery_emb: np.
 
 
 def evaluate(
-    params: enc.EncoderParams,
-    projector: ccr_mod.CcrProjector | None,
+    query_emb: np.ndarray,
+    gallery_emb: np.ndarray,
     protocol: EvalProtocol,
     fingerprint: str = "",
-    batch_size: int = 2048,
-    renormalize: bool = False,
 ) -> EvalReport:
-    """Embed the split with the query network, optionally reduce, then score.
-
-    ``renormalize`` restores unit row norms after the camera reduction; off
-    by default, exposed for ablation.
-    """
+    """Score the split from embeddings whose rows align with its tables."""
     if len(protocol.query) == 0 or len(protocol.gallery) == 0:
         raise DegenerateInputError("empty query or gallery")
-
-    def embed(table: DetectionTable) -> np.ndarray:
-        obs = table.observations.astype(params.dtype, copy=False)
-        parts = [
-            enc.forward(params, obs[s : s + batch_size])
-            for s in range(0, obs.shape[0], batch_size)
-        ]
-        emb = np.concatenate(parts, axis=0)
-        if projector is not None:
-            emb = ccr_mod.apply_ccr(projector, emb)
-            if renormalize:
-                norms = np.linalg.norm(emb, axis=1, keepdims=True)
-                emb = emb / np.maximum(norms, 1e-30)
-        return emb
-
-    q_emb = embed(protocol.query)
-    g_emb = embed(protocol.gallery)
-    kept, skipped = _match_lists(protocol, q_emb, g_emb)
+    if len(query_emb) != len(protocol.query) or len(gallery_emb) != len(protocol.gallery):
+        raise InvalidInputError("embeddings do not align with the query/gallery tables")
+    kept, skipped = _match_lists(protocol, query_emb, gallery_emb)
     if not kept:
         raise DegenerateInputError("every query was skipped; split is unusable")
     cmc = cmc_curve(kept, protocol.cmc_ranks)

@@ -1,4 +1,4 @@
-"""Small dense linear algebra: thin SVD, normalization, similarity, distance.
+"""Small dense linear algebra: the thin SVD behind the camera reduction.
 
 Matrices are plain 2-D numpy arrays, row-major, float32 by default with a
 float64 mode for high-precision checks.  The SVD is a one-sided Jacobi
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import InvalidInputError
 
 # Convergence of the Jacobi sweeps: a column pair counts as orthogonal once
 # |g_p . g_q| <= JACOBI_TOL * ||g_p|| * ||g_q||.
@@ -133,41 +133,3 @@ def svd_thin(w) -> SvdResult:
         sigma=sigma.astype(out_dtype, copy=False),
         vt=vt.astype(out_dtype, copy=False),
     )
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm."""
-    x = np.asarray(v)
-    if x.ndim != 1:
-        raise InvalidInputError(f"expected a vector, got ndim={x.ndim}")
-    if x.size and not np.all(np.isfinite(x)):
-        raise InvalidInputError("vector contains non-finite entries")
-    norm = float(np.linalg.norm(x.astype(np.float64, copy=False)))
-    if norm == 0.0:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return (x / x.dtype.type(norm)) if x.dtype in (np.float32, np.float64) else x / norm
-
-
-def cosine_similarity(q, k) -> float:
-    """Cosine of the angle between two nonzero vectors, clipped to [-1, 1]."""
-    a = np.asarray(q, dtype=np.float64)
-    b = np.asarray(k, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise InvalidInputError("cosine_similarity expects two vectors of equal length")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("vector contains non-finite entries")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for zero vectors")
-    return float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
-
-
-def euclidean_distance(a, b) -> float:
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise InvalidInputError("euclidean_distance expects two vectors of equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidInputError("vector contains non-finite entries")
-    return float(np.linalg.norm(x - y))

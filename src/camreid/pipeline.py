@@ -1,10 +1,18 @@
 """End-to-end pipeline: simulate, train, mine, retrain, reduce, evaluate.
 
-The in-memory functions here are the single source of truth; the stage_*
-wrappers add persistence, digests, and skip-if-done semantics on top for the
-command line.  Stage boundaries follow the data flow:
+The in-memory functions here are the single source of truth.  Each stage_*
+function adds persistence on top for the command line: it names its input
+files and a body that calls the in-memory functions and writes its outputs,
+and one private helper, ``_run_stage``, digests the inputs, skips the stage
+when its manifest already records them, refuses to replace another run's
+results without ``force``, runs the body and writes the manifest.  Stage
+boundaries follow the data flow:
 
     simulate -> train-cid -> extract -> trackletize -> train-tsd -> fit-ccr -> evaluate
+
+Every stage that reads the detection table declares both sim/ files as
+inputs, and the table is parsed at most once per process for each pair of
+their digests.
 
 Ground-truth identity labels exist only in the simulator's output and the
 evaluation split; every table handed to a training stage has them stripped.
@@ -16,6 +24,7 @@ import dataclasses
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,8 +76,6 @@ class PipelineConfig:
     renormalize_after_ccr: bool = False
     seed: int = 0
     precision: str = "f32"
-    workers: int = 1
-    deterministic: bool = True
 
     def validate(self) -> None:
         self.stream.validate()
@@ -87,8 +94,6 @@ class PipelineConfig:
             raise InvalidInputError("query_frac and eval_window_frac must lie in (0, 1)")
         if self.precision not in ("f32", "f64"):
             raise InvalidInputError("precision must be 'f32' or 'f64'")
-        if self.workers < 1:
-            raise InvalidInputError("workers must be >= 1")
 
     @property
     def dtype(self):
@@ -140,6 +145,7 @@ class PipelineConfig:
 @dataclass
 class Benchmark:
     world: synth.SyntheticWorld
+    full: synth.DetectionTable  # every detection, gt included; what the simulate stage writes
     train: synth.DetectionTable  # gt stripped
     query: synth.DetectionTable
     gallery: synth.DetectionTable
@@ -165,18 +171,15 @@ def build_benchmark(config: PipelineConfig) -> Benchmark:
     """Generate world and stream, then carve the fixed evaluation split."""
     config.validate()
     world = synth.generate_world(config.stream, config.n_identities, config.n_cameras, config.seed)
-    stream = synth.simulate_stream(world)
-    full = synth.DetectionTable.from_frames(stream)
-    gt_by_det = {int(d): int(g) for d, g in zip(full.det_id, full.gt_id)}
-    query, gallery = synth.split_eval(world, stream, config.query_frac, config.eval_window_frac)
-    train = synth.training_table(world, stream, config.eval_window_frac)
-    dtype = config.dtype
+    full = synth.DetectionTable.from_frames(synth.simulate_stream(world)).astype(config.dtype)
+    query, gallery = synth.split_eval(world, full, config.query_frac, config.eval_window_frac)
     return Benchmark(
         world=world,
-        train=train.astype(dtype),
-        query=query.astype(dtype),
-        gallery=gallery.astype(dtype),
-        gt_by_det=gt_by_det,
+        full=full,
+        train=synth.training_table(world, full, config.eval_window_frac),
+        query=query,
+        gallery=gallery,
+        gt_by_det={int(d): int(g) for d, g in zip(full.det_id, full.gt_id)},
     )
 
 
@@ -267,26 +270,28 @@ def fit_ccr(
 
 def eval_report(
     config: PipelineConfig,
-    bench: Benchmark,
+    query: synth.DetectionTable,
+    gallery: synth.DetectionTable,
     params: enc.EncoderParams,
     projector: ccr_mod.CcrProjector | None,
     arm: str,
 ) -> ev.EvalReport:
+    """Embed the split, remove the camera subspace when a projector is given, score."""
+    embeddings = [embed_all(params, table.observations) for table in (query, gallery)]
+    if projector is not None:
+        embeddings = [ccr_mod.apply_ccr(projector, emb) for emb in embeddings]
+        if config.renormalize_after_ccr:
+            embeddings = [
+                emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-30)
+                for emb in embeddings
+            ]
     protocol = ev.EvalProtocol(
-        query=bench.query,
-        gallery=bench.gallery,
-        cross_camera_filter=config.cross_camera_filter,
+        query=query, gallery=gallery, cross_camera_filter=config.cross_camera_filter
     )
     fingerprint = storage.fingerprint_payload(
         {"config": config.to_payload(), "arm": arm, "use_ccr": projector is not None}
     )
-    return ev.evaluate(
-        params,
-        projector,
-        protocol,
-        fingerprint=fingerprint,
-        renormalize=config.renormalize_after_ccr,
-    )
+    return ev.evaluate(*embeddings, protocol, fingerprint=fingerprint)
 
 
 def random_pair(config: PipelineConfig) -> enc.EncoderPair:
@@ -309,7 +314,7 @@ def run_pipeline(config: PipelineConfig, bench: Benchmark | None = None) -> Pipe
     segments = mine_segments(config, bench.train, embeddings)
     pair_tsd, tsd_stats = train_tsd(config, pair_cid, segments, bench.train)
     classifier, projector = fit_ccr(config, pair_tsd.query, bench.train)
-    report = eval_report(config, bench, pair_tsd.query, projector, arm="cid+tsd+ccr")
+    report = eval_report(config, bench.query, bench.gallery, pair_tsd.query, projector, arm="cid+tsd+ccr")
     return PipelineResult(
         config=config,
         bench=bench,
@@ -335,21 +340,22 @@ def run_steps_ablation(config: PipelineConfig, bench: Benchmark | None = None) -
     if bench is None:
         bench = build_benchmark(config)
     reports: dict[str, ev.EvalReport] = {}
+    split = (bench.query, bench.gallery)
 
     pair_cid, _ = train_cid(config, bench.train.observations)
-    reports["cid"] = eval_report(config, bench, pair_cid.query, None, arm="cid")
+    reports["cid"] = eval_report(config, *split, pair_cid.query, None, arm="cid")
 
     rnd = random_pair(config)
     seg_rnd = mine_segments(config, bench.train, embed_all(rnd.query, bench.train.observations))
     pair_tsd_only, _ = train_tsd(config, rnd, seg_rnd, bench.train)
-    reports["tsd"] = eval_report(config, bench, pair_tsd_only.query, None, arm="tsd")
+    reports["tsd"] = eval_report(config, *split, pair_tsd_only.query, None, arm="tsd")
 
     seg_cid = mine_segments(config, bench.train, embed_all(pair_cid.query, bench.train.observations))
     pair_both, _ = train_tsd(config, pair_cid, seg_cid, bench.train)
-    reports["cid+tsd"] = eval_report(config, bench, pair_both.query, None, arm="cid+tsd")
+    reports["cid+tsd"] = eval_report(config, *split, pair_both.query, None, arm="cid+tsd")
 
     _, projector = fit_ccr(config, pair_both.query, bench.train)
-    reports["cid+tsd+ccr"] = eval_report(config, bench, pair_both.query, projector, arm="cid+tsd+ccr")
+    reports["cid+tsd+ccr"] = eval_report(config, *split, pair_both.query, projector, arm="cid+tsd+ccr")
     return reports
 
 
@@ -369,7 +375,7 @@ def run_fraction_arm(config: PipelineConfig, bench: Benchmark, fraction: float) 
     segments = mine_segments(config, sliced, embed_all(pair_cid.query, sliced.observations))
     pair_tsd, _ = train_tsd(config, pair_cid, segments, sliced)
     _, projector = fit_ccr(config, pair_tsd.query, sliced)
-    return eval_report(config, bench, pair_tsd.query, projector, arm=f"fraction={fraction}")
+    return eval_report(config, bench.query, bench.gallery, pair_tsd.query, projector, arm=f"fraction={fraction}")
 
 
 def ablation_min_len(
@@ -386,7 +392,7 @@ def ablation_min_len(
         kept = trk.filter_segments(raw, min_len)
         stats = trk.segment_stats(kept, bench.gt_by_det)
         pair_tsd, _ = train_tsd(config, pair_cid, kept, bench.train)
-        report = eval_report(config, bench, pair_tsd.query, None, arm=f"min_len={min_len}")
+        report = eval_report(config, bench.query, bench.gallery, pair_tsd.query, None, arm=f"min_len={min_len}")
         rows.append(
             {
                 "min_len": int(min_len),
@@ -460,6 +466,8 @@ def ablation_model_size(
 
 def ablation_grid(config: PipelineConfig, axis: str, values=None, bench: Benchmark | None = None) -> list[dict]:
     """Dispatch one ablation axis; values=None uses the axis defaults."""
+    if values is not None and (not isinstance(values, (list, tuple)) or not values):
+        raise InvalidInputError(f"ablation values must be a non-empty list, got {values!r}")
     if axis == "steps":
         return ablation_steps(config, bench=bench)
     if axis == "min_len":
@@ -476,17 +484,36 @@ def ablation_grid(config: PipelineConfig, axis: str, values=None, bench: Benchma
 # ---------------------------------------------------------------------------
 
 
-def _producer_guard(stage_dir: Path, digests: dict[str, str], fp: str, force: bool) -> bool:
-    """Returns True when the stage may be skipped; raises instead of overwriting."""
+def _run_stage(
+    root: Path, config: PipelineConfig, force: bool, stage: str, dirname: str, inputs: dict, body
+) -> bool:
+    """Digest ``inputs``, then skip the stage, refuse, or run ``body`` and record it.
+
+    Returns False when ``root/dirname`` holds a manifest with these input
+    digests, this config and intact outputs.  A manifest from another run
+    needs ``force``.  Otherwise the old manifest goes first, so a stage that
+    dies before its new one is written is run again, never taken as done;
+    then ``body(stage_dir, digests)`` writes the outputs and returns them with
+    the manifest's extra fields.
+    """
+    stage_dir = root / dirname
+    digests = storage.validate_inputs(inputs)
+    fp = config.fingerprint()
     if storage.manifest_matches(stage_dir, digests, fp):
-        log.info("skipping %s (manifest hit)", stage_dir.name)
-        return True
-    if (stage_dir / "manifest.json").exists() and not force:
-        raise ManifestError(
-            f"{stage_dir} holds results from a different run; pass --force to overwrite"
-        )
+        log.info("skipping %s (manifest hit)", dirname)
+        return False
+    manifest = stage_dir / "manifest.json"
+    if manifest.exists() and not force:
+        raise ManifestError(f"{stage_dir} holds results from a different run; pass --force to overwrite")
     stage_dir.mkdir(parents=True, exist_ok=True)
-    return False
+    manifest.unlink(missing_ok=True)
+    outputs, extra = body(stage_dir, digests)
+    storage.write_manifest(stage_dir, stage, digests, outputs, fp, extra=extra)
+    return True
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def write_config(root: Path, config: PipelineConfig, force: bool = False) -> None:
@@ -497,7 +524,7 @@ def write_config(root: Path, config: PipelineConfig, force: bool = False) -> Non
         existing = json.loads(path.read_text())
         if existing != payload and not force:
             raise ManifestError(f"{path} disagrees with the requested config; pass --force")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    storage.write_text(path, _json(payload))
 
 
 def load_config(root: Path) -> PipelineConfig:
@@ -507,108 +534,111 @@ def load_config(root: Path) -> PipelineConfig:
     return PipelineConfig.from_payload(json.loads(path.read_text()))
 
 
-def _table_records(table: synth.DetectionTable) -> list[dict]:
-    return [
-        {
-            "det_id": int(table.det_id[i]),
-            "frame": int(table.frame[i]),
-            "camera_id": int(table.camera_id[i]),
-            "gt_id": int(table.gt_id[i]),
-            "ghost": int(table.ghost[i]),
-        }
-        for i in range(len(table))
-    ]
+# Integer columns of sim/detections.jsonl, named as DetectionTable's arguments.
+_DETECTION_COLUMNS = ("det_id", "frame", "camera_id", "gt_id", "ghost")
+
+
+def _sim_inputs(root: Path) -> dict[str, Path]:
+    """The two files the detection table is read from."""
+    sim = root / "sim"
+    return {"detections": sim / "detections.jsonl", "observations": sim / "observations.rctr"}
+
+
+def _checkpoint_inputs(root: Path, name: str) -> dict[str, Path]:
+    return {"checkpoint": root / name / "checkpoint.rctr", "checkpoint_meta": root / name / "checkpoint.json"}
 
 
 def stage_simulate(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    stage_dir = root / "sim"
-    fp = config.fingerprint()
-    if _producer_guard(stage_dir, {}, fp, force):
-        return False
-    bench = build_benchmark(config)
-    world = bench.world
-    stream = synth.simulate_stream(world)
-    full = synth.DetectionTable.from_frames(stream).astype(config.dtype)
-    storage.write_records(stage_dir / "detections.jsonl", _table_records(full))
-    storage.write_tensors(
-        stage_dir / "observations.rctr",
-        {"det_ids": full.det_id, "observations": full.observations},
-    )
-    storage.write_records(
-        stage_dir / "query_ids.jsonl", [{"det_id": int(d)} for d in bench.query.det_id]
-    )
-    storage.write_records(
-        stage_dir / "gallery_ids.jsonl", [{"det_id": int(d)} for d in bench.gallery.det_id]
-    )
-    outputs = [
-        stage_dir / "detections.jsonl",
-        stage_dir / "observations.rctr",
-        stage_dir / "query_ids.jsonl",
-        stage_dir / "gallery_ids.jsonl",
-    ]
-    storage.write_manifest(
-        stage_dir, "simulate", {}, outputs, fp, extra={"n_detections": len(full)}
-    )
-    return True
+    def body(stage_dir, digests):
+        bench = build_benchmark(config)
+        full = bench.full
+        outputs = [
+            stage_dir / name
+            for name in ("detections.jsonl", "observations.rctr", "query_ids.jsonl", "gallery_ids.jsonl")
+        ]
+        rows = zip(*(getattr(full, c).tolist() for c in _DETECTION_COLUMNS))
+        storage.write_records(outputs[0], (dict(zip(_DETECTION_COLUMNS, row)) for row in rows))
+        storage.write_tensors(outputs[1], {"det_ids": full.det_id, "observations": full.observations})
+        storage.write_records(outputs[2], ({"det_id": int(d)} for d in bench.query.det_id))
+        storage.write_records(outputs[3], ({"det_id": int(d)} for d in bench.gallery.det_id))
+        return outputs, {"n_detections": len(full)}
+
+    return _run_stage(root, config, force, "simulate", "sim", {}, body)
 
 
-def load_full_table(root: Path, config: PipelineConfig) -> synth.DetectionTable:
-    """Full detection table with gt labels; evaluation-side readers only."""
-    recs = storage.read_records(root / "sim" / "detections.jsonl")
-    tens = storage.read_tensors(root / "sim" / "observations.rctr")
-    det_id = np.array([r["det_id"] for r in recs], dtype=np.int64)
-    if not np.array_equal(det_id, tens["det_ids"]):
-        raise ManifestError("detections.jsonl and observations.rctr disagree on det_ids")
-    return synth.DetectionTable(
-        det_id=det_id,
-        frame=[r["frame"] for r in recs],
-        camera_id=[r["camera_id"] for r in recs],
-        gt_id=[r["gt_id"] for r in recs],
-        observations=tens["observations"].astype(config.dtype, copy=False),
-        ghost=[r["ghost"] for r in recs],
-    )
+# The parsed detection table of the last pair of sim/ file digests seen.  It
+# is process-wide so the stages of one `run` share one parse; keyed by file
+# content, it never serves a stale table, and its columns are read-only, so
+# no caller can change what the next one gets.
+_table_cache: dict[tuple[str, str], synth.DetectionTable] = {}
 
 
-def load_train_table(root: Path, config: PipelineConfig) -> synth.DetectionTable:
+def load_full_table(
+    root: Path, config: PipelineConfig, digests: dict[str, str] | None = None
+) -> synth.DetectionTable:
+    """Full detection table with gt labels; evaluation-side readers only.
+
+    ``digests`` are those of the two sim/ files (see ``_sim_inputs``); they
+    are taken here when the caller does not have them.
+    """
+    if digests is None:
+        digests = storage.validate_inputs(_sim_inputs(root))
+    key = (digests["detections"], digests["observations"])
+    if key not in _table_cache:
+        recs = storage.read_records(root / "sim" / "detections.jsonl")
+        tens = storage.read_tensors(root / "sim" / "observations.rctr")
+        columns = {c: np.array([r[c] for r in recs], dtype=np.int64) for c in _DETECTION_COLUMNS}
+        if not np.array_equal(columns["det_id"], tens["det_ids"]):
+            raise ManifestError("detections.jsonl and observations.rctr disagree on det_ids")
+        for column in (*columns.values(), tens["observations"]):
+            column.flags.writeable = False
+        _table_cache.clear()
+        _table_cache[key] = synth.DetectionTable(observations=tens["observations"], **columns)
+    return _table_cache[key].astype(config.dtype)
+
+
+def load_train_table(
+    root: Path, config: PipelineConfig, digests: dict[str, str] | None = None
+) -> synth.DetectionTable:
     """Training-window detections with gt stripped; the training stages' reader."""
-    full = load_full_table(root, config)
+    full = load_full_table(root, config, digests)
     start = synth.eval_window_start(config.stream, config.eval_window_frac)
     return full.select(full.frame < start).without_gt()
 
 
-def load_eval_split(root: Path, config: PipelineConfig) -> tuple[synth.DetectionTable, synth.DetectionTable]:
-    full = load_full_table(root, config)
-    by_id = {int(d): i for i, d in enumerate(full.det_id)}
-    out = []
-    for name in ("query_ids.jsonl", "gallery_ids.jsonl"):
-        ids = [r["det_id"] for r in storage.read_records(root / "sim" / name)]
-        out.append(full.select(np.array([by_id[i] for i in ids], dtype=np.int64)))
-    return out[0], out[1]
+def load_eval_split(
+    root: Path, config: PipelineConfig, digests: dict[str, str] | None = None
+) -> tuple[synth.DetectionTable, synth.DetectionTable]:
+    full = load_full_table(root, config, digests)
+    row_of = {int(d): i for i, d in enumerate(full.det_id)}
+
+    def rows(name: str) -> np.ndarray:
+        return np.array([row_of[r["det_id"]] for r in storage.read_records(root / "sim" / name)], dtype=np.int64)
+
+    return full.select(rows("query_ids.jsonl")), full.select(rows("gallery_ids.jsonl"))
 
 
-def save_checkpoint(stage_dir: Path, pair: enc.EncoderPair, config: PipelineConfig, stage: str) -> list[Path]:
+def save_checkpoint(
+    stage_dir: Path, pair: enc.EncoderPair, stats: list[ctr.TrainStats], config: PipelineConfig, stage: str
+) -> list[Path]:
+    """Weights, their metadata, and one training-curve record per epoch."""
     tensors = {}
     for side, params in (("query", pair.query), ("key", pair.key)):
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             tensors[f"{side}.w{i}"] = w
             tensors[f"{side}.b{i}"] = b
-    rctr = stage_dir / "checkpoint.rctr"
-    meta = stage_dir / "checkpoint.json"
-    storage.write_tensors(rctr, tensors)
-    meta.write_text(
-        json.dumps(
-            {
-                "dims": list(pair.query.dims),
-                "dtype": config.precision,
-                "key_momentum": pair.momentum,
-                "seed": config.seed,
-                "stage": stage,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return [rctr, meta]
+    outputs = [stage_dir / "checkpoint.rctr", stage_dir / "checkpoint.json", stage_dir / "curves.jsonl"]
+    storage.write_tensors(outputs[0], tensors)
+    meta = {
+        "dims": list(pair.query.dims),
+        "dtype": config.precision,
+        "key_momentum": pair.momentum,
+        "seed": config.seed,
+        "stage": stage,
+    }
+    storage.write_text(outputs[1], _json(meta))
+    storage.write_records(outputs[2], (dataclasses.asdict(s) for s in stats))
+    return outputs
 
 
 def load_checkpoint(stage_dir: Path) -> enc.EncoderPair:
@@ -626,115 +656,59 @@ def load_checkpoint(stage_dir: Path) -> enc.EncoderPair:
     return enc.EncoderPair(query=sides["query"], key=sides["key"], momentum=meta["key_momentum"])
 
 
-def _curves(stats: list[ctr.TrainStats]) -> list[dict]:
-    return [
-        {
-            "epoch": s.epoch,
-            "mean_loss": s.mean_loss,
-            "lr": s.lr,
-            "bank_occupancy": s.bank_occupancy,
-            "wall_time": s.wall_time,
-        }
-        for s in stats
-    ]
-
-
 def stage_train_cid(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    stage_dir = root / "cid"
-    digests = storage.validate_inputs(
-        {
-            "detections": root / "sim" / "detections.jsonl",
-            "observations": root / "sim" / "observations.rctr",
-        }
-    )
-    fp = config.fingerprint()
-    if _producer_guard(stage_dir, digests, fp, force):
-        return False
-    train = load_train_table(root, config)
-    pair, stats = train_cid(config, train.observations)
-    outputs = save_checkpoint(stage_dir, pair, config, "cid")
-    storage.write_records(stage_dir / "curves.jsonl", _curves(stats))
-    outputs.append(stage_dir / "curves.jsonl")
-    storage.write_manifest(stage_dir, "train-cid", digests, outputs, fp)
-    return True
+    def body(stage_dir, digests):
+        pair, stats = train_cid(config, load_train_table(root, config, digests).observations)
+        return save_checkpoint(stage_dir, pair, stats, config, "cid"), None
+
+    return _run_stage(root, config, force, "train-cid", "cid", _sim_inputs(root), body)
 
 
 def stage_extract(root: Path, config: PipelineConfig, force: bool = False, checkpoint: str = "cid") -> bool:
-    stage_dir = root / "embed"
-    digests = storage.validate_inputs(
-        {
-            "observations": root / "sim" / "observations.rctr",
-            "checkpoint": root / checkpoint / "checkpoint.rctr",
-        }
-    )
-    fp = config.fingerprint()
-    if _producer_guard(stage_dir, digests, fp, force):
-        return False
-    train = load_train_table(root, config)
-    pair = load_checkpoint(root / checkpoint)
-    emb = embed_all(pair.query, train.observations)
-    storage.write_tensors(
-        stage_dir / "embeddings.rctr", {"det_ids": train.det_id, "embeddings": emb}
-    )
-    storage.write_manifest(
-        stage_dir, "extract", digests, [stage_dir / "embeddings.rctr"], fp
-    )
-    return True
+    def body(stage_dir, digests):
+        train = load_train_table(root, config, digests)
+        emb = embed_all(load_checkpoint(root / checkpoint).query, train.observations)
+        path = stage_dir / "embeddings.rctr"
+        storage.write_tensors(path, {"det_ids": train.det_id, "embeddings": emb})
+        return [path], None
+
+    inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, checkpoint)}
+    return _run_stage(root, config, force, "extract", "embed", inputs, body)
 
 
 def stage_trackletize(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    stage_dir = root / "segments"
-    digests = storage.validate_inputs(
-        {
-            "detections": root / "sim" / "detections.jsonl",
-            "embeddings": root / "embed" / "embeddings.rctr",
-        }
-    )
-    fp = config.fingerprint()
-    if _producer_guard(stage_dir, digests, fp, force):
-        return False
-    train = load_train_table(root, config)
-    tens = storage.read_tensors(root / "embed" / "embeddings.rctr")
-    if not np.array_equal(tens["det_ids"], train.det_id):
-        raise ManifestError("embeddings do not align with the training detections")
-    segments = mine_segments(config, train, tens["embeddings"])
-    storage.write_records(
-        stage_dir / "segments.jsonl",
-        [
-            {
-                "segment_id": s.segment_id,
-                "camera_id": s.camera_id,
-                "first_frame": s.first_frame,
-                "det_ids": list(s.det_ids),
-            }
-            for s in segments
-        ],
-    )
-    lengths = {}
-    per_camera = {}
-    for s in segments:
-        lengths[len(s)] = lengths.get(len(s), 0) + 1
-        per_camera[s.camera_id] = per_camera.get(s.camera_id, 0) + 1
-    (stage_dir / "stats.json").write_text(
-        json.dumps(
-            {
-                "n_segments": len(segments),
-                "length_hist": {str(k): v for k, v in sorted(lengths.items())},
-                "per_camera": {str(k): v for k, v in sorted(per_camera.items())},
-                "min_len": config.min_len,
-            },
-            indent=2,
-            sort_keys=True,
+    def body(stage_dir, digests):
+        train = load_train_table(root, config, digests)
+        tens = storage.read_tensors(root / "embed" / "embeddings.rctr")
+        if not np.array_equal(tens["det_ids"], train.det_id):
+            raise ManifestError("embeddings do not align with the training detections")
+        segments = mine_segments(config, train, tens["embeddings"])
+        outputs = [stage_dir / "segments.jsonl", stage_dir / "stats.json"]
+        storage.write_records(
+            outputs[0],
+            (
+                {
+                    "segment_id": s.segment_id,
+                    "camera_id": s.camera_id,
+                    "first_frame": s.first_frame,
+                    "det_ids": list(s.det_ids),
+                }
+                for s in segments
+            ),
         )
-    )
-    storage.write_manifest(
-        stage_dir,
-        "trackletize",
-        digests,
-        [stage_dir / "segments.jsonl", stage_dir / "stats.json"],
-        fp,
-    )
-    return True
+        lengths = Counter(len(s) for s in segments)
+        per_camera = Counter(s.camera_id for s in segments)
+        stats = {
+            "n_segments": len(segments),
+            "length_hist": {str(k): v for k, v in sorted(lengths.items())},
+            "per_camera": {str(k): v for k, v in sorted(per_camera.items())},
+            "min_len": config.min_len,
+        }
+        storage.write_text(outputs[1], _json(stats))
+        return outputs, None
+
+    inputs = {**_sim_inputs(root), "embeddings": root / "embed" / "embeddings.rctr"}
+    return _run_stage(root, config, force, "trackletize", "segments", inputs, body)
 
 
 def load_segments(root: Path) -> list[trk.TrackletSegment]:
@@ -751,70 +725,39 @@ def load_segments(root: Path) -> list[trk.TrackletSegment]:
 
 
 def stage_train_tsd(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    stage_dir = root / "tsd"
-    digests = storage.validate_inputs(
-        {
-            "observations": root / "sim" / "observations.rctr",
-            "segments": root / "segments" / "segments.jsonl",
-            "init": root / "cid" / "checkpoint.rctr",
-        }
-    )
-    fp = config.fingerprint()
-    if _producer_guard(stage_dir, digests, fp, force):
-        return False
-    train = load_train_table(root, config)
-    init_pair = load_checkpoint(root / "cid")
-    segments = load_segments(root)
-    pair, stats = train_tsd(config, init_pair, segments, train)
-    outputs = save_checkpoint(stage_dir, pair, config, "tsd")
-    storage.write_records(stage_dir / "curves.jsonl", _curves(stats))
-    outputs.append(stage_dir / "curves.jsonl")
-    storage.write_manifest(stage_dir, "train-tsd", digests, outputs, fp)
-    return True
+    def body(stage_dir, digests):
+        train = load_train_table(root, config, digests)
+        pair, stats = train_tsd(config, load_checkpoint(root / "cid"), load_segments(root), train)
+        return save_checkpoint(stage_dir, pair, stats, config, "tsd"), None
+
+    inputs = {
+        **_sim_inputs(root),
+        "segments": root / "segments" / "segments.jsonl",
+        **_checkpoint_inputs(root, "cid"),
+    }
+    return _run_stage(root, config, force, "train-tsd", "tsd", inputs, body)
 
 
 def stage_fit_ccr(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    stage_dir = root / "ccr"
-    digests = storage.validate_inputs(
-        {
-            "observations": root / "sim" / "observations.rctr",
-            "checkpoint": root / "tsd" / "checkpoint.rctr",
-        }
-    )
-    fp = config.fingerprint()
-    if _producer_guard(stage_dir, digests, fp, force):
-        return False
-    train = load_train_table(root, config)
-    pair = load_checkpoint(root / "tsd")
-    classifier, projector = fit_ccr(config, pair.query, train)
-    storage.write_tensors(
-        stage_dir / "projector.rctr",
-        {
-            "v": projector.v,
-            "centering": projector.centering,
-            "classifier_w": classifier.weight,
-        },
-    )
-    (stage_dir / "projector.json").write_text(
-        json.dumps(
-            {
-                "k": projector.k,
-                "m": projector.m,
-                "n": projector.n,
-                "holdout_accuracy": classifier.holdout_accuracy,
-            },
-            indent=2,
-            sort_keys=True,
+    def body(stage_dir, digests):
+        train = load_train_table(root, config, digests)
+        classifier, projector = fit_ccr(config, load_checkpoint(root / "tsd").query, train)
+        outputs = [stage_dir / "projector.rctr", stage_dir / "projector.json"]
+        storage.write_tensors(
+            outputs[0],
+            {"v": projector.v, "centering": projector.centering, "classifier_w": classifier.weight},
         )
-    )
-    storage.write_manifest(
-        stage_dir,
-        "fit-ccr",
-        digests,
-        [stage_dir / "projector.rctr", stage_dir / "projector.json"],
-        fp,
-    )
-    return True
+        meta = {
+            "k": projector.k,
+            "m": projector.m,
+            "n": projector.n,
+            "holdout_accuracy": classifier.holdout_accuracy,
+        }
+        storage.write_text(outputs[1], _json(meta))
+        return outputs, None
+
+    inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, "tsd")}
+    return _run_stage(root, config, force, "fit-ccr", "ccr", inputs, body)
 
 
 def load_projector(root: Path) -> ccr_mod.CcrProjector:
@@ -835,48 +778,29 @@ def stage_evaluate(
     checkpoint: str = "tsd",
     use_ccr: bool = True,
 ) -> bool:
-    stage_dir = root / "eval"
+    def body(stage_dir, digests):
+        query, gallery = load_eval_split(root, config, digests)
+        projector = load_projector(root) if use_ccr else None
+        params = load_checkpoint(root / checkpoint).query
+        report = eval_report(config, query, gallery, params, projector, arm=checkpoint)
+        outputs = [stage_dir / "report.json", stage_dir / "report.txt"]
+        storage.write_text(outputs[0], report.to_json())
+        storage.write_text(outputs[1], report.to_text() + "\n")
+        return outputs, {"checkpoint": checkpoint, "use_ccr": use_ccr}
+
     inputs = {
-        "detections": root / "sim" / "detections.jsonl",
-        "observations": root / "sim" / "observations.rctr",
-        "checkpoint": root / checkpoint / "checkpoint.rctr",
+        **_sim_inputs(root),
+        "query_ids": root / "sim" / "query_ids.jsonl",
+        "gallery_ids": root / "sim" / "gallery_ids.jsonl",
+        **_checkpoint_inputs(root, checkpoint),
     }
     if use_ccr:
-        inputs["projector"] = root / "ccr" / "projector.rctr"
-    digests = storage.validate_inputs(inputs)
-    fp = config.fingerprint()
-    if _producer_guard(stage_dir, digests, fp, force):
-        return False
-    query, gallery = load_eval_split(root, config)
-    pair = load_checkpoint(root / checkpoint)
-    projector = load_projector(root) if use_ccr else None
-    protocol = ev.EvalProtocol(
-        query=query, gallery=gallery, cross_camera_filter=config.cross_camera_filter
-    )
-    fingerprint = storage.fingerprint_payload(
-        {"config": config.to_payload(), "checkpoint": checkpoint, "use_ccr": use_ccr}
-    )
-    report = ev.evaluate(
-        pair.query,
-        projector,
-        protocol,
-        fingerprint=fingerprint,
-        renormalize=config.renormalize_after_ccr,
-    )
-    (stage_dir / "report.json").write_text(report.to_json())
-    (stage_dir / "report.txt").write_text(report.to_text() + "\n")
-    storage.write_manifest(
-        stage_dir,
-        "evaluate",
-        digests,
-        [stage_dir / "report.json", stage_dir / "report.txt"],
-        fp,
-        extra={"checkpoint": checkpoint, "use_ccr": use_ccr},
-    )
-    return True
+        inputs.update(projector=root / "ccr" / "projector.rctr", projector_meta=root / "ccr" / "projector.json")
+    return _run_stage(root, config, force, "evaluate", "eval", inputs, body)
 
 
-def stage_run_all(root: Path, config: PipelineConfig, force: bool = False) -> None:
+def stage_run(root: Path, config: PipelineConfig, force: bool = False) -> None:
+    """Every stage in order, each looked up by name when it is called."""
     stage_simulate(root, config, force)
     stage_train_cid(root, config, force)
     stage_extract(root, config, force)
@@ -899,5 +823,5 @@ def stage_ablate(root: Path, config: PipelineConfig, axis: str, values=None, for
     lines = ["# " + "\t".join(cols)]
     for row in rows:
         lines.append("\t".join(str(row[c]) for c in cols))
-    out_series.write_text("\n".join(lines) + "\n")
+    storage.write_text(out_series, "\n".join(lines) + "\n")
     return rows

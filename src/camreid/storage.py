@@ -11,12 +11,18 @@ segments, curves) travels as one JSON object per line.  Each pipeline stage
 writes a manifest with sha256 digests of its inputs and outputs plus the
 config fingerprint, which later runs use to validate inputs and to skip
 work that is already done.
+
+Every write goes to a temp file beside its target and then replaces the
+target with ``os.replace``, so a process that dies mid-write leaves the
+previous file, not a torn one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Iterable
@@ -30,6 +36,24 @@ FORMAT_VERSION = 1
 
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
 _TAG_FOR_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.int64): 2}
+
+
+@contextlib.contextmanager
+def _replacing(path: Path, mode: str):
+    """Handle on a temp file beside ``path`` that replaces it on a clean exit."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open(mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_text(path: Path | str, text: str) -> None:
+    with _replacing(Path(path), "w") as fh:
+        fh.write(text)
 
 
 def write_tensors(path: Path | str, tensors: dict[str, np.ndarray]) -> None:
@@ -49,8 +73,8 @@ def write_tensors(path: Path | str, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<BB", tag, a.ndim))
         chunks.append(struct.pack(f"<{a.ndim}Q", *a.shape))
         chunks.append(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes(order="C"))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(chunks))
+    with _replacing(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def read_tensors(path: Path | str) -> dict[str, np.ndarray]:
@@ -90,9 +114,7 @@ def read_tensors(path: Path | str) -> dict[str, np.ndarray]:
 
 
 def write_records(path: Path | str, records: Iterable[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with _replacing(Path(path), "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True))
             fh.write("\n")
@@ -146,7 +168,8 @@ def write_manifest(
     if extra:
         manifest["extra"] = extra
     path = stage_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with _replacing(path, "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
 

@@ -29,7 +29,7 @@ of the simulator and the evaluator sees them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -125,10 +125,6 @@ class Detection:
     observation: np.ndarray
     gt_id: int = GT_HIDDEN
     is_ghost: bool = False
-
-    def strip_gt(self) -> "Detection":
-        """Clear the evaluation-only channels (label and ghost flag)."""
-        return replace(self, gt_id=GT_HIDDEN, is_ghost=False)
 
 
 @dataclass(frozen=True)
@@ -387,14 +383,6 @@ def augment_batch(x: np.ndarray, rng: np.random.Generator, strength: float) -> n
     return (gain * (a + jitter + brightness) * keep).astype(a.dtype, copy=False)
 
 
-def augment_observation(x: np.ndarray, rng: np.random.Generator, strength: float) -> np.ndarray:
-    """Single-vector convenience wrapper around :func:`augment_batch`."""
-    v = np.asarray(x)
-    if v.ndim != 1:
-        raise InvalidInputError("augment_observation expects a vector")
-    return augment_batch(v[None, :], rng, strength)[0]
-
-
 class DetectionTable:
     """Column-oriented view of a detection set for bulk numpy work."""
 
@@ -477,11 +465,11 @@ class DetectionTable:
 
 def split_eval(
     world: SyntheticWorld,
-    stream: list[FrameBatch],
+    table: DetectionTable,
     query_frac: float,
     eval_window_frac: float = 0.15,
 ) -> tuple[DetectionTable, DetectionTable]:
-    """Carve a query/gallery evaluation split out of the stream tail.
+    """Carve a query/gallery evaluation split out of the tail of a stream's table.
 
     The final ``eval_window_frac`` of frames is reserved for evaluation;
     everything earlier is training data (see :func:`training_table`).  Within
@@ -494,7 +482,6 @@ def split_eval(
         raise InvalidInputError("query_frac must lie strictly between 0 and 1")
     if not 0.0 < eval_window_frac < 1.0:
         raise InvalidInputError("eval_window_frac must lie strictly between 0 and 1")
-    table = DetectionTable.from_frames(stream)
     if len(table) == 0:
         raise DegenerateInputError("stream holds no detections to split")
     start = eval_window_start(world.config, eval_window_frac)
@@ -549,9 +536,8 @@ def eval_window_start(config: StreamConfig, eval_window_frac: float) -> int:
 
 
 def training_table(
-    world: SyntheticWorld, stream: list[FrameBatch], eval_window_frac: float = 0.15
+    world: SyntheticWorld, table: DetectionTable, eval_window_frac: float = 0.15
 ) -> DetectionTable:
     """Detections before the evaluation window, with gt labels stripped."""
-    table = DetectionTable.from_frames(stream)
     start = eval_window_start(world.config, eval_window_frac)
     return table.select(table.frame < start).without_gt()

@@ -11,15 +11,12 @@ closes every open segment in that camera.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .synth import DetectionTable
-
-Matcher = Callable[[np.ndarray], list["Match"]]
-
 
 @dataclass(frozen=True)
 class Match:
@@ -76,7 +73,6 @@ def mutual_matches(aff: np.ndarray, min_affinity: float | None = None) -> list[M
 def assemble_segments(
     table: DetectionTable,
     embeddings: np.ndarray,
-    matcher: Matcher | None = None,
     min_affinity: float | None = None,
 ) -> list[TrackletSegment]:
     """Chain detections of each camera into segments via adjacent-frame matches.
@@ -88,8 +84,6 @@ def assemble_segments(
     emb = np.asarray(embeddings)
     if emb.ndim != 2 or emb.shape[0] != len(table):
         raise InvalidInputError("embeddings do not align with the detection table")
-    if matcher is None:
-        matcher = lambda a: mutual_matches(a, min_affinity=min_affinity)
 
     raw: list[tuple[int, int, list[int]]] = []  # (camera, first_frame, rows)
     for cam in np.unique(table.camera_id):
@@ -105,7 +99,7 @@ def assemble_segments(
             if prev_frame is not None and f == prev_frame + 1 and prev_rows:
                 aff = affinity(emb[prev_rows], emb[rows_f])
                 matched_cols = {}
-                for m in matcher(aff):
+                for m in mutual_matches(aff, min_affinity=min_affinity):
                     matched_cols[m.col] = m.row
                 next_open: dict[int, list[int]] = {}
                 for col, row_pos in matched_cols.items():

@@ -328,13 +328,13 @@ def test_08_min_len_trades_purity_for_coverage(capsys):
 def timed_full_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run_a")
     t0 = time.perf_counter()
-    rc = cli.main(["run", "--out", str(out), "--deterministic"])
+    rc = cli.main(["run", "--out", str(out)])
     return out, rc, time.perf_counter() - t0
 
 
 def test_09_deterministic_reruns_are_bit_identical(timed_full_run, tmp_path, capsys):
     out_a, rc_a, _ = timed_full_run
-    rc_b = cli.main(["run", "--out", str(tmp_path / "run_b"), "--deterministic"])
+    rc_b = cli.main(["run", "--out", str(tmp_path / "run_b")])
     report_a = (out_a / "eval" / "report.json").read_bytes()
     report_b = (tmp_path / "run_b" / "eval" / "report.json").read_bytes()
     ok = rc_a == 0 and rc_b == 0 and report_a == report_b

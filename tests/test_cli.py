@@ -117,15 +117,49 @@ def test_ablate_prints_rows(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_deterministic_flag_pins_workers(cfg_file, tmp_path):
-    out = tmp_path / "exp"
+@pytest.mark.parametrize("values", ["[1", "5", "[]"])
+def test_ablate_rejects_bad_values(cfg_file, tmp_path, capsys, values):
+    # Malformed JSON, a non-list and an empty list are bad input, never the
+    # axis defaults.
     rc = _run(
-        "simulate", "--config", cfg_file, "--out", out, "--workers", 4, "--deterministic"
+        "ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "min_len", "--values", values
     )
-    assert rc == 0
-    written = json.loads((out / "config.json").read_text())
-    assert written["workers"] == 1
-    assert written["deterministic"] is True
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
+
+
+def test_removed_knobs_are_rejected(cfg_file, tmp_path, capsys):
+    # --workers and --deterministic changed nothing and are gone, as are the
+    # config fields behind them.
+    for flag in (["--workers", 4], ["--deterministic"]):
+        with pytest.raises(SystemExit) as exc:
+            _run("simulate", "--config", cfg_file, "--out", tmp_path / "o", *flag)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    for field, value in (("workers", 1), ("deterministic", True)):
+        payload = json.loads(cfg_file.read_text())
+        payload[field] = value
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(payload))
+        assert _run("simulate", "--config", bad, "--out", tmp_path / "o") == 2
+        assert field in json.loads(capsys.readouterr().err.strip())["message"]
+
+
+def test_run_calls_each_stage_through_the_pipeline_module(cfg_file, tmp_path, monkeypatch, capsys):
+    # The benchmark times set-up by replacing pipeline.stage_simulate and
+    # attributes spans by the names pipeline.stage_<stage>, so `run` must look
+    # every stage up on the module when it calls it.
+    stages = ("simulate", "train_cid", "extract", "trackletize", "train_tsd", "fit_ccr", "evaluate")
+    called = []
+    for name in stages:
+        def recording(*args, _name=name, _stage=getattr(pl, "stage_" + name), **kwargs):
+            called.append(_name)
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "stage_" + name, recording)
+    assert _run("run", "--config", cfg_file, "--out", tmp_path / "exp") == 0
+    capsys.readouterr()
+    assert called == list(stages)
 
 
 def test_argparse_rejects_unknown_command(capsys):

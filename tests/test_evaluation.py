@@ -166,18 +166,13 @@ def _protocol():
     return ev.EvalProtocol(query=query, gallery=gallery, cmc_ranks=(1, 2))
 
 
-class _IdentityParams:
-    """Minimal stand-in with the EncoderParams surface evaluate() touches."""
-
-    dims = (2, 2)
-    dtype = np.dtype(np.float64)
+def _evaluate_raw(protocol: ev.EvalProtocol) -> ev.EvalReport:
+    """Score the split with the observations themselves as embeddings."""
+    return ev.evaluate(protocol.query.observations, protocol.gallery.observations, protocol)
 
 
-def test_evaluate_with_identity_embedding(monkeypatch):
-    import camreid.evaluation as module
-
-    monkeypatch.setattr(module.enc, "forward", lambda params, batch: np.asarray(batch))
-    report = ev.evaluate(_IdentityParams(), None, _protocol())
+def test_evaluate_with_identity_embedding():
+    report = _evaluate_raw(_protocol())
     assert report.n_queries == 2
     assert report.cmc[1] == pytest.approx(0.5)
     assert report.cmc[2] == pytest.approx(1.0)
@@ -186,10 +181,7 @@ def test_evaluate_with_identity_embedding(monkeypatch):
     assert "cmc@1" in report.to_text()
 
 
-def test_evaluate_skips_matchless_queries(monkeypatch):
-    import camreid.evaluation as module
-
-    monkeypatch.setattr(module.enc, "forward", lambda params, batch: np.asarray(batch))
+def test_evaluate_skips_matchless_queries():
     # Identity 1 appears in the gallery only under the query's own camera,
     # so the cross-camera filter leaves it matchless and it is skipped.
     query = DetectionTable(
@@ -206,9 +198,7 @@ def test_evaluate_skips_matchless_queries(monkeypatch):
         gt_id=[0, 1],
         observations=np.ones((2, 2)),
     )
-    report = ev.evaluate(
-        _IdentityParams(), None, ev.EvalProtocol(query=query, gallery=gallery)
-    )
+    report = _evaluate_raw(ev.EvalProtocol(query=query, gallery=gallery))
     assert report.n_queries == 1
     assert report.n_skipped == 1
 
@@ -216,4 +206,10 @@ def test_evaluate_skips_matchless_queries(monkeypatch):
 def test_evaluate_empty_split_raises():
     empty = DetectionTable.from_detections([])
     with pytest.raises(DegenerateInputError):
-        ev.evaluate(_IdentityParams(), None, ev.EvalProtocol(query=empty, gallery=empty))
+        _evaluate_raw(ev.EvalProtocol(query=empty, gallery=empty))
+
+
+def test_evaluate_rejects_misaligned_embeddings():
+    protocol = _protocol()
+    with pytest.raises(InvalidInputError):
+        ev.evaluate(protocol.query.observations[:1], protocol.gallery.observations, protocol)

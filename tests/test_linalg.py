@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camreid.errors import DegenerateInputError, InvalidInputError
-from camreid.linalg import cosine_similarity, euclidean_distance, l2_normalize, svd_thin
+from camreid.linalg import svd_thin
 
 
 def test_svd_diagonal_hand_case():
@@ -90,59 +90,3 @@ def test_svd_input_validation():
         svd_thin(np.ones(4))
     with pytest.raises(InvalidInputError):
         svd_thin(np.array([[1.0, np.nan]]))
-
-
-def test_l2_normalize_hand_case():
-    out = l2_normalize(np.array([3.0, 4.0]))
-    assert np.allclose(out, [0.6, 0.8], atol=1e-12)
-
-
-def test_l2_normalize_zero_vector_raises():
-    with pytest.raises(DegenerateInputError):
-        l2_normalize(np.zeros(4))
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=1,
-        max_size=16,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_l2_normalize_unit_norm_property(values):
-    v = np.array(values, dtype=np.float64)
-    if np.linalg.norm(v) < 1e-12:
-        return
-    out = l2_normalize(v)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-9
-    # Direction is preserved: out is a nonnegative multiple of v.
-    assert np.allclose(out * np.linalg.norm(v), v, rtol=1e-9, atol=1e-9)
-
-
-def test_cosine_similarity_hand_cases():
-    assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
-        0.7071067811865476, abs=1e-12
-    )
-    assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-    assert cosine_similarity([1.0, 0.0], [-2.0, 0.0]) == pytest.approx(-1.0, abs=1e-12)
-    assert cosine_similarity([1.0, 0.0], [0.0, 3.0]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cosine_similarity_errors():
-    with pytest.raises(DegenerateInputError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(InvalidInputError):
-        cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_euclidean_distance_hand_case():
-    assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
-    assert euclidean_distance([1.0, 1.0], [1.0, 1.0]) == 0.0
-
-
-def test_euclidean_distance_errors():
-    with pytest.raises(InvalidInputError):
-        euclidean_distance([1.0], [1.0, 2.0])
-    with pytest.raises(InvalidInputError):
-        euclidean_distance([np.inf], [1.0])

@@ -271,6 +271,44 @@ def test_full_table_alignment_check(tiny_cfg, tmp_path):
         pl.load_full_table(tmp_path, tiny_cfg)
 
 
+def test_changed_detections_rerun_extract(tiny_cfg, tmp_path):
+    # extract reads the detection table, so a change to detections.jsonl
+    # alone makes its old results stale.
+    assert pl.stage_simulate(tmp_path, tiny_cfg)
+    assert pl.stage_train_cid(tmp_path, tiny_cfg)
+    assert pl.stage_extract(tmp_path, tiny_cfg)
+    detections = tmp_path / "sim" / "detections.jsonl"
+    detections.write_text(detections.read_text() + "\n")  # same records, new digest
+    with pytest.raises(ManifestError):
+        pl.stage_extract(tmp_path, tiny_cfg)
+    assert pl.stage_extract(tmp_path, tiny_cfg, force=True)
+
+
+def test_stage_dying_before_its_manifest_is_rerun(tiny_cfg, tmp_path, monkeypatch):
+    from camreid import storage
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("killed before the manifest")
+
+    assert pl.stage_simulate(tmp_path, tiny_cfg)
+    write_manifest = storage.write_manifest
+    monkeypatch.setattr(storage, "write_manifest", crash)
+    with pytest.raises(RuntimeError):
+        pl.stage_train_cid(tmp_path, tiny_cfg)
+    assert (tmp_path / "cid" / "checkpoint.rctr").exists()
+    monkeypatch.setattr(storage, "write_manifest", write_manifest)
+    assert pl.stage_train_cid(tmp_path, tiny_cfg)
+    # The same holds when a forced rerun with another config dies over
+    # finished results: they are no longer taken as done.
+    other = tiny_cfg.with_overrides(seed=12)
+    monkeypatch.setattr(storage, "write_manifest", crash)
+    with pytest.raises(RuntimeError):
+        pl.stage_train_cid(tmp_path, other, force=True)
+    monkeypatch.setattr(storage, "write_manifest", write_manifest)
+    assert pl.stage_train_cid(tmp_path, tiny_cfg)
+    assert not pl.stage_train_cid(tmp_path, tiny_cfg)
+
+
 def test_stage_ablate_min_len(tiny_cfg, tmp_path):
     rows = pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[2, 3])
     assert [r["min_len"] for r in rows] == [2, 3]

@@ -133,6 +133,21 @@ def test_records_corrupt_line_raises(tmp_path):
         storage.read_records(p)
 
 
+def test_failed_write_keeps_previous_file(tmp_path):
+    p = tmp_path / "r.jsonl"
+    storage.write_records(p, [{"a": 1}])
+    before = p.read_bytes()
+
+    def records():
+        yield {"a": 2}
+        raise RuntimeError("died mid-write")
+
+    with pytest.raises(RuntimeError):
+        storage.write_records(p, records())
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["r.jsonl"]
+
+
 def test_records_missing_file_raises(tmp_path):
     with pytest.raises(ManifestError):
         storage.read_records(tmp_path / "nope.jsonl")

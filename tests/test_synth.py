@@ -134,15 +134,6 @@ def test_augment_preserves_shape_and_dtype():
     assert not np.array_equal(out, x)
 
 
-def test_augment_observation_vector_wrapper():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(5)
-    out = synth.augment_observation(v, rng, 0.2)
-    assert out.shape == (5,)
-    with pytest.raises(InvalidInputError):
-        synth.augment_observation(np.zeros((2, 2)), rng, 0.2)
-
-
 def test_augment_validation():
     rng = np.random.default_rng(4)
     with pytest.raises(InvalidInputError):
@@ -174,8 +165,8 @@ def test_generate_world_validation():
 
 def test_split_eval_partitions_the_window():
     world = _world(seed=7, config=dataclasses.replace(SMALL, duration_frames=600))
-    stream = synth.simulate_stream(world)
-    query, gallery = synth.split_eval(world, stream, query_frac=0.33)
+    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    query, gallery = synth.split_eval(world, table, query_frac=0.33)
     start = synth.eval_window_start(world.config, 0.15)
     assert len(query) > 0 and len(gallery) > 0
     assert query.frame.min() >= start and gallery.frame.min() >= start
@@ -186,8 +177,8 @@ def test_split_eval_partitions_the_window():
 
 def test_split_eval_every_query_has_cross_camera_match():
     world = _world(seed=8, config=dataclasses.replace(SMALL, duration_frames=600))
-    stream = synth.simulate_stream(world)
-    query, gallery = synth.split_eval(world, stream, query_frac=0.33)
+    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    query, gallery = synth.split_eval(world, table, query_frac=0.33)
     for gt, cam in zip(query.gt_id, query.camera_id):
         other = (gallery.gt_id == gt) & (gallery.camera_id != cam)
         assert other.any()
@@ -195,28 +186,28 @@ def test_split_eval_every_query_has_cross_camera_match():
 
 def test_split_eval_deterministic():
     world = _world(seed=9, config=dataclasses.replace(SMALL, duration_frames=600))
-    stream = synth.simulate_stream(world)
-    q1, g1 = synth.split_eval(world, stream, 0.33)
-    q2, g2 = synth.split_eval(world, stream, 0.33)
+    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    q1, g1 = synth.split_eval(world, table, 0.33)
+    q2, g2 = synth.split_eval(world, table, 0.33)
     assert np.array_equal(q1.det_id, q2.det_id)
     assert np.array_equal(g1.det_id, g2.det_id)
 
 
 def test_split_eval_validation():
     world = _world(seed=7)
-    stream = synth.simulate_stream(world)
+    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
     with pytest.raises(InvalidInputError):
-        synth.split_eval(world, stream, query_frac=0.0)
+        synth.split_eval(world, table, query_frac=0.0)
     with pytest.raises(InvalidInputError):
-        synth.split_eval(world, stream, 0.3, eval_window_frac=1.0)
+        synth.split_eval(world, table, 0.3, eval_window_frac=1.0)
     with pytest.raises(DegenerateInputError):
-        synth.split_eval(world, [], 0.3)
+        synth.split_eval(world, synth.DetectionTable.from_detections([]), 0.3)
 
 
 def test_training_table_hides_evaluation_channels():
     world = _world(seed=10, config=dataclasses.replace(SMALL, duration_frames=600))
-    stream = synth.simulate_stream(world)
-    train = synth.training_table(world, stream, eval_window_frac=0.15)
+    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    train = synth.training_table(world, table, eval_window_frac=0.15)
     start = synth.eval_window_start(world.config, 0.15)
     assert train.frame.max() < start
     assert np.all(train.gt_id == synth.GT_HIDDEN)
@@ -271,13 +262,3 @@ def test_detection_table_validation():
             gt_id=[0],
             observations=np.zeros(3),
         )
-
-
-def test_detection_strip_gt():
-    det = synth.Detection(
-        det_id=0, frame=1, camera_id=2, observation=np.zeros(3), gt_id=9, is_ghost=True
-    )
-    clean = det.strip_gt()
-    assert clean.gt_id == synth.GT_HIDDEN
-    assert clean.is_ghost is False
-    assert clean.det_id == det.det_id
