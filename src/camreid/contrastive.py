@@ -93,7 +93,7 @@ class MemoryBank:
             return
         if k.shape[1] != self.dim:
             raise InvalidInputError(f"key dim {k.shape[1]} != bank dim {self.dim}")
-        norms = np.linalg.norm(k.astype(np.float64), axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", k, k))
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise InvalidInputError("bank keys must be unit-norm")
         if k.shape[0] > self.capacity:
@@ -104,19 +104,34 @@ class MemoryBank:
         self._size = min(self._size + k.shape[0], self.capacity)
 
 
-def _batch_info_nce(q: np.ndarray, k_pos: np.ndarray, negatives: np.ndarray, temperature: float):
-    """Mean loss over the batch plus gradients of that mean w.r.t. q and k+."""
+def _workspace(pair: enc.EncoderPair, bank: MemoryBank, batch_size: int) -> np.ndarray:
+    """One B x (K+1) logits buffer, reused by every step of an epoch."""
+    dtype = np.result_type(pair.query.dtype, bank.negatives().dtype)
+    return np.empty((batch_size, bank.capacity + 1), dtype=dtype)
+
+
+def _batch_info_nce(
+    q: np.ndarray, k_pos: np.ndarray, negatives: np.ndarray, temperature: float, workspace: np.ndarray
+):
+    """Mean loss over the batch and its gradient w.r.t. q.
+
+    The B x (K+1) logits are built and turned into softmax probabilities
+    inside ``workspace`` (at least B rows and K+1 columns), positive first;
+    the probabilities are left there.  A fresh buffer of that size would be
+    mapped and faulted in anew every step, which costs more than the
+    arithmetic.
+    """
     if temperature <= 0:
         raise InvalidInputError("temperature must be > 0")
     if negatives.shape[0] == 0:
         raise InvalidInputError("negative bank is empty")
     b = q.shape[0]
-    l_pos = np.sum(q * k_pos, axis=1, keepdims=True) / temperature
-    # The B x (K+1) steps run in place: each fresh buffer of that size is
-    # mapped and faulted in anew, which costs more than the arithmetic.
-    l_neg = q @ negatives.T
-    l_neg /= temperature
-    logits = np.concatenate([l_pos, l_neg], axis=1)
+    scratch = np.multiply(q, k_pos)
+    l_pos = np.sum(scratch, axis=1, keepdims=True) / temperature
+    logits = workspace[:b, : negatives.shape[0] + 1]
+    logits[:, :1] = l_pos
+    np.matmul(q, negatives.T, out=logits[:, 1:])
+    logits[:, 1:] /= temperature
     m = logits.max(axis=1, keepdims=True)
     logits -= m
     p = np.exp(logits, out=logits)
@@ -124,13 +139,15 @@ def _batch_info_nce(q: np.ndarray, k_pos: np.ndarray, negatives: np.ndarray, tem
     losses = -(l_pos - m) + np.log(z)
     p /= z
     # d(mean loss)/dq_i = ((p_pos - 1) k+_i + sum_j p_ij k-_j) / (t B)
-    grad_q = ((p[:, :1] - 1.0) * k_pos + p[:, 1:] @ negatives) / (temperature * b)
-    grad_k_pos = (p[:, :1] - 1.0) * q / (temperature * b)
-    return float(losses.mean()), grad_q, grad_k_pos
+    grad_q = p[:, 1:] @ negatives
+    np.multiply(p[:, :1] - 1.0, k_pos, out=scratch)
+    grad_q += scratch
+    grad_q /= temperature * b
+    return float(losses.mean()), grad_q
 
 
 def info_nce(q: np.ndarray, k_pos: np.ndarray, bank: MemoryBank, temperature: float):
-    """Loss and analytic gradients for a single query against the bank."""
+    """Loss and analytic gradients w.r.t. q and k+ for one query against the bank."""
     qv = np.asarray(q, dtype=np.float64)
     kv = np.asarray(k_pos, dtype=np.float64)
     if qv.ndim != 1 or kv.ndim != 1 or qv.shape != kv.shape:
@@ -140,24 +157,28 @@ def info_nce(q: np.ndarray, k_pos: np.ndarray, bank: MemoryBank, temperature: fl
     for name, v in (("q", qv), ("k_pos", kv)):
         if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
             raise InvalidInputError(f"{name} must be unit-norm")
-    loss, gq, gk = _batch_info_nce(
-        qv[None, :], kv[None, :], bank.negatives().astype(np.float64), float(temperature)
+    workspace = np.empty((1, len(bank) + 1))
+    temperature = float(temperature)
+    loss, gq = _batch_info_nce(
+        qv[None, :], kv[None, :], bank.negatives().astype(np.float64), temperature, workspace
     )
-    return loss, gq[0], gk[0]
+    # d loss/dk+ = (p_pos - 1) q / t
+    gk = (workspace[0, 0] - 1.0) * qv / temperature
+    return loss, gq[0], gk
 
 
-def _run_batch(pair, bank, optim, obs_a, obs_b, temperature, lr):
+def _run_batch(pair, bank, optim, obs_a, obs_b, temperature, lr, workspace):
     """One training step: embed two views, take the loss, update all parties."""
-    q = enc.forward(pair.query, obs_a)
+    cache = enc.forward_cached(pair.query, obs_a)
     k = enc.forward(pair.key, obs_b)
     if len(bank) == 0:
         # Nothing to contrast against yet; prime the bank and move on.
         bank.enqueue(k)
         return None
-    loss, grad_q, _ = _batch_info_nce(q, k, bank.negatives(), temperature)
+    loss, grad_q = _batch_info_nce(cache.out, k, bank.negatives(), temperature, workspace)
     if not np.isfinite(loss):
         raise TrainingDivergenceError(f"non-finite contrastive loss {loss}")
-    grads = enc.backward(pair.query, obs_a, grad_q)
+    grads = enc.backward(pair.query, cache, grad_q)
     enc.sgd_step(pair.query, grads, optim, lr)
     enc.momentum_update(pair)
     bank.enqueue(k)
@@ -191,13 +212,16 @@ def cid_epoch(
     t0 = time.perf_counter()
     step_lr = config.base_lr if lr is None else lr
     perm = rng.permutation(x.shape[0])
+    workspace = _workspace(pair, bank, config.batch_size)
     losses = []
     for start in range(0, x.shape[0] - config.batch_size + 1, config.batch_size):
         idx = perm[start : start + config.batch_size]
         obs = x[idx]
         view_a = synth.augment_batch(obs, rng, config.aug_strength)
         view_b = synth.augment_batch(obs, rng, config.aug_strength)
-        loss = _run_batch(pair, bank, optim, view_a, view_b, config.temperature, step_lr)
+        loss = _run_batch(
+            pair, bank, optim, view_a, view_b, config.temperature, step_lr, workspace
+        )
         if loss is not None:
             losses.append(loss)
     return TrainStats(
@@ -209,16 +233,34 @@ def cid_epoch(
     )
 
 
-def sample_tsd_pair(segment_rows: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
-    """Two distinct detection rows drawn uniformly from one segment."""
-    n = len(segment_rows)
-    if n < 2:
+def sample_tsd_pairs(
+    rows: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    seg_idx: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two distinct detection rows drawn uniformly from each chosen segment.
+
+    Segment s holds ``rows[starts[s] : starts[s] + lengths[s]]``; one
+    (anchor, positive) pair is drawn for each entry of ``seg_idx``.  For a
+    segment of n rows the anchor offset is drawn from [0, n) and the
+    positive's from [0, n-1), skipping the anchor.  Both bounds go to one
+    ``integers`` call, interleaved pair by pair, which draws the same numbers
+    as one call per bound in that order.
+    """
+    n = lengths[seg_idx]
+    if n.size and n.min() < 2:
         raise InvalidInputError("segment must hold at least 2 detections")
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    return int(segment_rows[i]), int(segment_rows[j])
+    high = np.empty(2 * n.size, dtype=np.int64)
+    high[0::2] = n
+    high[1::2] = n - 1
+    draws = rng.integers(high)
+    i = draws[0::2]
+    j = draws[1::2]
+    j += j >= i
+    first = starts[seg_idx]
+    return rows[first + i], rows[first + j]
 
 
 def tsd_epoch(
@@ -244,22 +286,22 @@ def tsd_epoch(
         raise InvalidInputError("no segment with >= 2 detections to sample pairs from")
     x = np.asarray(observations)
     t0 = time.perf_counter()
-    lengths = np.array([len(s) for s in usable], dtype=np.float64)
+    rows = np.concatenate(usable)
+    lengths = np.array([len(s) for s in usable], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
     probs = lengths / lengths.sum()
     n_batches = max(int(lengths.sum()) // config.batch_size, 1)
     step_lr = enc.cosine_lr(epoch, config.epochs_tsd, config.base_lr)
+    workspace = _workspace(pair, bank, config.batch_size)
     losses = []
     for _ in range(n_batches):
         seg_idx = rng.choice(len(usable), size=config.batch_size, p=probs)
-        anchors = np.empty(config.batch_size, dtype=np.int64)
-        positives = np.empty(config.batch_size, dtype=np.int64)
-        for out_pos, s in enumerate(seg_idx):
-            a, b = sample_tsd_pair(usable[int(s)], rng)
-            anchors[out_pos] = a
-            positives[out_pos] = b
+        anchors, positives = sample_tsd_pairs(rows, starts, lengths, seg_idx, rng)
         view_a = synth.augment_batch(x[anchors], rng, config.aug_strength)
         view_b = synth.augment_batch(x[positives], rng, config.aug_strength)
-        loss = _run_batch(pair, bank, optim, view_a, view_b, config.temperature, step_lr)
+        loss = _run_batch(
+            pair, bank, optim, view_a, view_b, config.temperature, step_lr, workspace
+        )
         if loss is not None:
             losses.append(loss)
     return TrainStats(

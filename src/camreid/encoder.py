@@ -93,8 +93,17 @@ def init_encoder(dims, seed: int, dtype=np.float32, momentum: float = 0.999) -> 
     return EncoderPair(query=query, key=query.copy(), momentum=momentum)
 
 
-def _forward_cached(params: EncoderParams, batch: np.ndarray):
-    """Forward pass keeping pre-activations for the backward pass."""
+@dataclass
+class ForwardCache:
+    """What `backward` needs from one forward pass."""
+
+    inputs: list[np.ndarray]  # the input of each layer
+    out: np.ndarray  # unit-norm embeddings
+    norms: np.ndarray  # row norms of the last layer's output, floored
+
+
+def forward_cached(params: EncoderParams, batch: np.ndarray) -> ForwardCache:
+    """Embed a batch and keep the layer inputs and norms for `backward`."""
     x = np.asarray(batch)
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
         raise InvalidInputError(
@@ -103,48 +112,53 @@ def _forward_cached(params: EncoderParams, batch: np.ndarray):
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("batch contains non-finite entries")
     x = x.astype(params.dtype, copy=False)
-    acts = [x]
-    n_layers = len(params.weights)
+    inputs = [x]
     h = x
-    for i in range(n_layers - 1):
-        z = h @ params.weights[i] + params.biases[i]
-        h = np.maximum(z, 0)
-        acts.append(h)
-    z_out = h @ params.weights[-1] + params.biases[-1]
-    norms = np.sqrt(np.sum(z_out * z_out, axis=1, keepdims=True))
-    norms = np.maximum(norms, _NORM_FLOOR)
-    out = z_out / norms
-    return out, acts, z_out, norms
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = h @ w
+        h += b
+        np.maximum(h, 0, out=h)
+        inputs.append(h)
+    z_out = h @ params.weights[-1]
+    z_out += params.biases[-1]
+    out = np.multiply(z_out, z_out)
+    norms = np.sqrt(np.sum(out, axis=1, keepdims=True))
+    np.maximum(norms, _NORM_FLOOR, out=norms)
+    np.divide(z_out, norms, out=out)
+    return ForwardCache(inputs=inputs, out=out, norms=norms)
 
 
 def forward(params: EncoderParams, batch: np.ndarray) -> np.ndarray:
     """Embed a batch (rows are observations) into unit-norm rows."""
-    out, _, _, _ = _forward_cached(params, batch)
-    return out
+    return forward_cached(params, batch).out
 
 
-def backward(params: EncoderParams, batch: np.ndarray, grad_embeddings: np.ndarray) -> EncoderGrads:
+def backward(params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray) -> EncoderGrads:
     """Analytic parameter gradients for the given upstream embedding gradient.
 
-    Recomputes the forward pass internally.  The normalization layer's
-    Jacobian is applied first: for y = z/|z|, dz = (g - y (y.g)) / |z|.
+    ``cache`` is the forward pass, by the same parameters, that produced the
+    embeddings.  The normalization layer's Jacobian is applied first: for
+    y = z/|z|, dz = (g - y (y.g)) / |z|.
     """
-    out, acts, z_out, norms = _forward_cached(params, batch)
+    out = cache.out
     g = np.asarray(grad_embeddings, dtype=params.dtype)
     if g.shape != out.shape:
         raise InvalidInputError("grad_embeddings shape does not match embeddings")
-    inner = np.sum(out * g, axis=1, keepdims=True)
-    dz = (g - out * inner) / norms
+    dz = np.multiply(out, g)
+    inner = np.sum(dz, axis=1, keepdims=True)
+    np.multiply(out, inner, out=dz)
+    np.subtract(g, dz, out=dz)
+    dz /= cache.norms
 
     gw = [None] * len(params.weights)
     gb = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
-        h_in = acts[i]
+        h_in = cache.inputs[i]
         gw[i] = h_in.T @ dz
         gb[i] = dz.sum(axis=0)
         if i > 0:
             dh = dz @ params.weights[i].T
-            dh[acts[i] <= 0] = 0
+            dh[h_in <= 0] = 0
             dz = dh
     return EncoderGrads(weights=gw, biases=gb)
 

@@ -465,10 +465,15 @@ def ablation_model_size(
 
 
 def ablation_grid(config: PipelineConfig, axis: str, values=None, bench: Benchmark | None = None) -> list[dict]:
-    """Dispatch one ablation axis; values=None uses the axis defaults."""
+    """Dispatch one ablation axis; values=None uses the axis defaults.
+
+    The steps axis has fixed arms and takes no values.
+    """
     if values is not None and (not isinstance(values, (list, tuple)) or not values):
         raise InvalidInputError(f"ablation values must be a non-empty list, got {values!r}")
     if axis == "steps":
+        if values is not None:
+            raise InvalidInputError(f"the steps axis has fixed arms {list(STEP_ARMS)} and takes no values")
         return ablation_steps(config, bench=bench)
     if axis == "min_len":
         return ablation_min_len(config, values or MIN_LEN_VALUES, bench=bench)

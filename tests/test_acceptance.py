@@ -61,9 +61,9 @@ def test_01_encoder_loss_gradients_match_finite_differences(capsys):
             loss, _, _ = ctr.info_nce(q, k_pos, bank, temperature)
             return loss
 
-        q = enc.forward(params, x)
-        _, gq, _ = ctr.info_nce(q[0], k_pos, bank, temperature)
-        grads = enc.backward(params, x, gq[None, :])
+        cache = enc.forward_cached(params, x)
+        _, gq, _ = ctr.info_nce(cache.out[0], k_pos, bank, temperature)
+        grads = enc.backward(params, cache, gq[None, :])
 
         for kind, analytic in (("weights", grads.weights), ("biases", grads.biases)):
             tensors = getattr(params, kind)

@@ -128,6 +128,15 @@ def test_ablate_rejects_bad_values(cfg_file, tmp_path, capsys, values):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
 
 
+def test_ablate_steps_rejects_values(cfg_file, tmp_path, capsys):
+    # The steps axis runs fixed arms; values given to it are an error, not
+    # silently dropped.
+    rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "steps", "--values", "[123]")
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
+    assert not (tmp_path / "o" / "ablation" / "steps.jsonl").exists()
+
+
 def test_removed_knobs_are_rejected(cfg_file, tmp_path, capsys):
     # --workers and --deterministic changed nothing and are gone, as are the
     # config fields behind them.

@@ -5,6 +5,8 @@ loss = -log(exp(s+/t) / sum_j exp(s_j/t)) before being frozen as constants.
 """
 
 import collections
+import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,22 +183,141 @@ def test_memory_bank_rejects_bad_keys():
         ctr.MemoryBank(0, 3)
 
 
+def _pairs_of(segments, seg_idx, rng):
+    rows = np.concatenate(segments)
+    lengths = np.array([len(s) for s in segments], dtype=np.int64)
+    return ctr.sample_tsd_pairs(rows, np.cumsum(lengths) - lengths, lengths, np.asarray(seg_idx), rng)
+
+
 def test_sample_tsd_pair_distinct_and_covers_all():
     rng = np.random.default_rng(2)
     rows = np.array([10, 20, 30], dtype=np.int64)
-    seen = set()
-    for _ in range(500):
-        a, b = ctr.sample_tsd_pair(rows, rng)
-        assert a != b
-        assert a in rows and b in rows
-        seen.add((a, b))
+    anchors, positives = _pairs_of([rows], np.zeros(500, dtype=np.int64), rng)
+    assert np.all(anchors != positives)
+    assert np.all(np.isin(anchors, rows)) and np.all(np.isin(positives, rows))
     # All 6 ordered pairs of 3 elements appear under uniform sampling.
-    assert len(seen) == 6
+    assert len(set(zip(anchors.tolist(), positives.tolist()))) == 6
 
 
 def test_sample_tsd_pair_needs_two():
     with pytest.raises(InvalidInputError):
-        ctr.sample_tsd_pair(np.array([1]), np.random.default_rng(0))
+        _pairs_of([np.array([1])], [0], np.random.default_rng(0))
+    with pytest.raises(InvalidInputError):
+        _pairs_of([np.array([1, 2]), np.array([3])], [0, 1], np.random.default_rng(0))
+
+
+def test_sample_tsd_pairs_draws_as_the_scalar_loop():
+    # One interleaved integers() call must draw what one call per bound
+    # draws, pair by pair, and leave the generator in the same state.
+    segments = [np.arange(s, s + n, dtype=np.int64) for s, n in ((0, 2), (10, 5), (20, 2), (30, 9), (50, 3))]
+    for seed in range(20):
+        draw = np.random.default_rng(seed)
+        seg_idx = draw.integers(len(segments), size=257)
+        rng = np.random.default_rng(seed + 100)
+        ref_rng = np.random.default_rng(seed + 100)
+        anchors, positives = _pairs_of(segments, seg_idx, rng)
+        want = []
+        for s in seg_idx:
+            seg = segments[int(s)]
+            i = int(ref_rng.integers(len(seg)))
+            j = int(ref_rng.integers(len(seg) - 1))
+            if j >= i:
+                j += 1
+            want.append((int(seg[i]), int(seg[j])))
+        assert list(zip(anchors.tolist(), positives.tolist())) == want
+        assert rng.random() == ref_rng.random()
+
+
+def _plain_batch_info_nce(q, k_pos, negatives, temperature):
+    # The formula written out with fresh arrays, as a reference for the
+    # workspace version.
+    b = q.shape[0]
+    l_pos = np.sum(q * k_pos, axis=1, keepdims=True) / temperature
+    l_neg = q @ negatives.T / temperature
+    logits = np.concatenate([l_pos, l_neg], axis=1)
+    m = logits.max(axis=1, keepdims=True)
+    p = np.exp(logits - m)
+    z = p.sum(axis=1, keepdims=True)
+    losses = -(l_pos - m) + np.log(z)
+    p = p / z
+    grad_q = ((p[:, :1] - 1.0) * k_pos + p[:, 1:] @ negatives) / (temperature * b)
+    return float(losses.mean()), grad_q
+
+
+def _unit_rows(rng, n, d, dtype=np.float32):
+    x = rng.standard_normal((n, d))
+    return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(dtype)
+
+
+@pytest.mark.parametrize("n_keys", [1, 1000, 4096])
+def test_batch_info_nce_workspace_matches_plain_formula(n_keys):
+    # A bank that is filling (n < K, n not a multiple of B) and a full one,
+    # at the default step shapes B=256, K=4096, D=128.
+    rng = np.random.default_rng(n_keys)
+    b, k, d = 256, 4096, 128
+    q, k_pos = _unit_rows(rng, b, d), _unit_rows(rng, b, d)
+    negatives = _unit_rows(rng, n_keys, d)
+    workspace = np.full((b, k + 1), np.nan, dtype=np.float32)
+    loss, grad_q = ctr._batch_info_nce(q, k_pos, negatives, 0.07, workspace)
+    want_loss, want_grad = _plain_batch_info_nce(q, k_pos, negatives, 0.07)
+    assert loss == want_loss
+    assert grad_q.dtype == want_grad.dtype
+    assert np.array_equal(grad_q, want_grad)
+
+
+def _default_step_setup(seed=0):
+    # The default encoder (64-256-128) and step shapes, with a full bank.
+    b, k = 256, 4096
+    pair = enc.init_encoder((64, 256, 128), seed=seed)
+    optim = enc.OptimState.for_params(pair.query)
+    bank = ctr.MemoryBank(k, 128)
+    rng = np.random.default_rng(seed)
+    bank.enqueue(_unit_rows(rng, k, 128))
+    views = [rng.standard_normal((b, 64)).astype(np.float32) for _ in range(4)]
+    return pair, optim, bank, ctr._workspace(pair, bank, b), views
+
+
+def test_training_step_matches_step_with_recomputed_forward():
+    # _run_batch backpropagates from the query pass's cache; the reference
+    # step below embeds afresh for the backward pass, as a step did before
+    # the cache was kept.  Every parameter, velocity and bank key must agree
+    # bit for bit.
+    pair, optim, bank, workspace, (a, b, _, _) = _default_step_setup()
+    ref_pair, ref_optim, ref_bank = copy.deepcopy((pair, optim, bank))
+
+    loss = ctr._run_batch(pair, bank, optim, a, b, 0.07, 0.03, workspace)
+
+    q = enc.forward(ref_pair.query, a)
+    k = enc.forward(ref_pair.key, b)
+    ref_loss, grad_q = _plain_batch_info_nce(q, k, ref_bank.negatives(), 0.07)
+    grads = enc.backward(ref_pair.query, enc.forward_cached(ref_pair.query, a), grad_q)
+    enc.sgd_step(ref_pair.query, grads, ref_optim, 0.03)
+    enc.momentum_update(ref_pair)
+    ref_bank.enqueue(k)
+
+    assert loss == ref_loss
+    for got, want in (
+        (pair.query.weights + pair.query.biases, ref_pair.query.weights + ref_pair.query.biases),
+        (pair.key.weights + pair.key.biases, ref_pair.key.weights + ref_pair.key.biases),
+        (optim.velocity_w + optim.velocity_b, ref_optim.velocity_w + ref_optim.velocity_b),
+    ):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert np.array_equal(bank.contents(), ref_bank.contents())
+
+
+def test_steady_state_step_allocates_less_than_one_logits_buffer():
+    # Guard against per-step churn: once the epoch's workspace exists, a step
+    # at B=256, K=4096 must not allocate a B x (K+1) float32 buffer (4 MiB).
+    pair, optim, bank, workspace, (a, b, c, d) = _default_step_setup()
+    ctr._run_batch(pair, bank, optim, a, b, 0.07, 0.03, workspace)
+    tracemalloc.start()
+    try:
+        ctr._run_batch(pair, bank, optim, c, d, 0.07, 0.03, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < workspace.nbytes
 
 
 def _tiny_setup(n_obs=80, d_obs=6, d_emb=4, batch=16, bank=32):

@@ -51,7 +51,7 @@ def test_backward_matches_finite_differences():
         params = pair.query
         batch = rng.standard_normal((3, dims[0]))
         target = rng.standard_normal((3, dims[-1]))
-        grads = enc.backward(params, batch, target)
+        grads = enc.backward(params, enc.forward_cached(params, batch), target)
         h = 1e-6
         for li in range(len(params.weights)):
             w = params.weights[li]
@@ -75,10 +75,46 @@ def test_backward_matches_finite_differences():
             assert grads.biases[li][0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+def test_forward_and_backward_match_plain_formulas():
+    # The in-place layers must compute what the formulas compute with fresh
+    # arrays, bit for bit, at the default float32 shapes.
+    pair = enc.init_encoder((64, 256, 128), seed=1)
+    params = pair.query
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((256, 64)).astype(np.float32)
+    g = rng.standard_normal((256, 128)).astype(np.float32)
+
+    acts = [x]
+    h = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.maximum(h @ w + b, 0)
+        acts.append(h)
+    z = h @ params.weights[-1] + params.biases[-1]
+    norms = np.maximum(np.sqrt(np.sum(z * z, axis=1, keepdims=True)), 1e-30)
+    out = z / norms
+    dz = (g - out * np.sum(out * g, axis=1, keepdims=True)) / norms
+    want_w, want_b = [None] * 2, [None] * 2
+    for i in (1, 0):
+        want_w[i] = acts[i].T @ dz
+        want_b[i] = dz.sum(axis=0)
+        if i > 0:
+            dh = dz @ params.weights[i].T
+            dh[acts[i] <= 0] = 0
+            dz = dh
+
+    cache = enc.forward_cached(params, x)
+    assert np.array_equal(cache.out, out)
+    assert np.array_equal(enc.forward(params, x), out)
+    grads = enc.backward(params, cache, g)
+    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_backward_rejects_mismatched_gradient():
     pair = enc.init_encoder((4, 3), seed=0)
     with pytest.raises(InvalidInputError):
-        enc.backward(pair.query, np.zeros((2, 4)), np.zeros((3, 3)))
+        enc.backward(pair.query, enc.forward_cached(pair.query, np.zeros((2, 4))), np.zeros((3, 3)))
 
 
 def test_sgd_step_hand_arithmetic():
