@@ -21,7 +21,6 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .evaluation import EvalProtocol, EvalReport, cmc_curve, evaluate, mean_ap
-from .linalg import svd_thin
 from .pipeline import PipelineConfig, build_benchmark, run_pipeline, run_steps_ablation
 from .synth import StreamConfig, generate_world, simulate_stream, split_eval
 from .tracklet import assemble_segments, filter_segments, mutual_matches, segment_stats

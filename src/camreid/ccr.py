@@ -2,8 +2,8 @@
 
 A bias-free linear softmax classifier W (cameras x embedding dim) is fit on
 frozen embeddings.  Its rows are centered by their mean, the centered matrix
-is factored with the thin SVD, and the top-k right singular vectors V span
-the camera-discriminative subspace.  The reducer
+is factored with numpy's thin SVD, and the top-k right singular vectors V
+span the camera-discriminative subspace.  The reducer
 
     f_reduced = (I - V V^T) f
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import svd_thin
 
 log = logging.getLogger(__name__)
 
@@ -104,13 +103,17 @@ def fit_camera_classifier(
 def build_projector(classifier: CameraClassifier | np.ndarray, k: int | None = None) -> CcrProjector:
     """Span of the centered classifier's top-k right singular vectors.
 
-    Defaults to k = m, which nulls every centered logit exactly (the
-    centered matrix has rank at most m-1, so the last direction is taken
-    from its null-space complement).
+    Defaults to k = m, which nulls every centered logit exactly.  The
+    centered matrix has rank at most m-1, so its first m-1 right singular
+    vectors already span its rows; the m-th is LAPACK's orthonormal
+    completion of a zero singular value, an arbitrary direction that carries
+    no camera signal.
     """
     w = classifier.weight if isinstance(classifier, CameraClassifier) else np.asarray(classifier)
     if w.ndim != 2:
         raise InvalidInputError("classifier weight must be a matrix")
+    if not np.all(np.isfinite(w)):
+        raise InvalidInputError("classifier weight contains non-finite entries")
     m, n = w.shape
     if m < 2 or m > n:
         raise InvalidInputError("classifier must have 2 <= cameras <= embedding dim")
@@ -120,8 +123,8 @@ def build_projector(classifier: CameraClassifier | np.ndarray, k: int | None = N
         raise InvalidInputError(f"k must lie in [1, {m}]")
     centering = w.mean(axis=0)
     centered = w - centering
-    fact = svd_thin(centered.astype(np.float64))
-    v = fact.vt[:k].T
+    _, _, vt = np.linalg.svd(centered.astype(np.float64), full_matrices=False)
+    v = vt[:k].T
     return CcrProjector(v=v, centering=centering.astype(np.float64), k=k, m=m, n=n)
 
 

@@ -73,7 +73,6 @@ class PipelineConfig:
     query_frac: float = 0.33
     eval_window_frac: float = 0.15
     cross_camera_filter: bool = True
-    renormalize_after_ccr: bool = False
     seed: int = 0
     precision: str = "f32"
 
@@ -280,11 +279,6 @@ def eval_report(
     embeddings = [embed_all(params, table.observations) for table in (query, gallery)]
     if projector is not None:
         embeddings = [ccr_mod.apply_ccr(projector, emb) for emb in embeddings]
-        if config.renormalize_after_ccr:
-            embeddings = [
-                emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-30)
-                for emb in embeddings
-            ]
     protocol = ev.EvalProtocol(
         query=query, gallery=gallery, cross_camera_filter=config.cross_camera_filter
     )
@@ -335,28 +329,23 @@ def run_steps_ablation(config: PipelineConfig, bench: Benchmark | None = None) -
 
     'cid' evaluates the instance stage alone; 'tsd' mines segments with an
     untrained encoder and trains the segment stage from scratch; 'cid+tsd'
-    chains the stages; 'cid+tsd+ccr' adds the camera reduction.
+    chains the stages; 'cid+tsd+ccr' adds the camera reduction.  The three
+    chained arms are scored from one `run_pipeline` call.
     """
     if bench is None:
         bench = build_benchmark(config)
-    reports: dict[str, ev.EvalReport] = {}
     split = (bench.query, bench.gallery)
-
-    pair_cid, _ = train_cid(config, bench.train.observations)
-    reports["cid"] = eval_report(config, *split, pair_cid.query, None, arm="cid")
+    chained = run_pipeline(config, bench)
 
     rnd = random_pair(config)
     seg_rnd = mine_segments(config, bench.train, embed_all(rnd.query, bench.train.observations))
     pair_tsd_only, _ = train_tsd(config, rnd, seg_rnd, bench.train)
-    reports["tsd"] = eval_report(config, *split, pair_tsd_only.query, None, arm="tsd")
-
-    seg_cid = mine_segments(config, bench.train, embed_all(pair_cid.query, bench.train.observations))
-    pair_both, _ = train_tsd(config, pair_cid, seg_cid, bench.train)
-    reports["cid+tsd"] = eval_report(config, *split, pair_both.query, None, arm="cid+tsd")
-
-    _, projector = fit_ccr(config, pair_both.query, bench.train)
-    reports["cid+tsd+ccr"] = eval_report(config, *split, pair_both.query, projector, arm="cid+tsd+ccr")
-    return reports
+    return {
+        "cid": eval_report(config, *split, chained.pair_cid.query, None, arm="cid"),
+        "tsd": eval_report(config, *split, pair_tsd_only.query, None, arm="tsd"),
+        "cid+tsd": eval_report(config, *split, chained.pair_tsd.query, None, arm="cid+tsd"),
+        "cid+tsd+ccr": chained.report,
+    }
 
 
 def slice_fraction(config: PipelineConfig, train: synth.DetectionTable, fraction: float) -> synth.DetectionTable:
@@ -371,11 +360,7 @@ def slice_fraction(config: PipelineConfig, train: synth.DetectionTable, fraction
 def run_fraction_arm(config: PipelineConfig, bench: Benchmark, fraction: float) -> ev.EvalReport:
     """Full pipeline trained on a time slice, scored on the unchanged split."""
     sliced = slice_fraction(config, bench.train, fraction)
-    pair_cid, _ = train_cid(config, sliced.observations)
-    segments = mine_segments(config, sliced, embed_all(pair_cid.query, sliced.observations))
-    pair_tsd, _ = train_tsd(config, pair_cid, segments, sliced)
-    _, projector = fit_ccr(config, pair_tsd.query, sliced)
-    return eval_report(config, bench.query, bench.gallery, pair_tsd.query, projector, arm=f"fraction={fraction}")
+    return run_pipeline(config, dataclasses.replace(bench, train=sliced)).report
 
 
 def ablation_min_len(
@@ -618,7 +603,11 @@ def load_eval_split(
     row_of = {int(d): i for i, d in enumerate(full.det_id)}
 
     def rows(name: str) -> np.ndarray:
-        return np.array([row_of[r["det_id"]] for r in storage.read_records(root / "sim" / name)], dtype=np.int64)
+        ids = [r["det_id"] for r in storage.read_records(root / "sim" / name)]
+        unknown = [d for d in ids if d not in row_of]
+        if unknown:
+            raise ManifestError(f"sim/{name} names det_id {unknown[0]}, which is not in the detection table")
+        return np.array([row_of[d] for d in ids], dtype=np.int64)
 
     return full.select(rows("query_ids.jsonl")), full.select(rows("gallery_ids.jsonl"))
 

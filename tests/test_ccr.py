@@ -82,6 +82,26 @@ def test_build_projector_validation():
         ccr.build_projector(np.zeros((3, 4)), k=0)
     with pytest.raises(InvalidInputError):
         ccr.build_projector(np.zeros((3, 4)), k=4)
+    for bad in (np.nan, np.inf):
+        w = np.zeros((3, 4))
+        w[1, 2] = bad
+        with pytest.raises(InvalidInputError):
+            ccr.build_projector(w)
+
+
+def test_first_m_minus_1_directions_carry_the_camera_signal():
+    # The centered classifier has rank m-1, so k = m-1 already nulls every
+    # centered logit and V's first m-1 columns span the centered rows: the
+    # m-th direction of the default k = m carries no camera signal.
+    rng = np.random.default_rng(38)
+    m, n = 6, 40
+    w = rng.standard_normal((m, n))
+    proj = ccr.build_projector(w, k=m - 1)
+    max_logit, max_dev = ccr.nullification_check(w, proj, rng.standard_normal((300, n)))
+    assert max_logit < 1e-10
+    assert max_dev < 1e-10
+    centered = w - w.mean(axis=0)
+    assert np.allclose(centered @ proj.v @ proj.v.T, centered, atol=1e-10)
 
 
 def _clustered(rng, n, dim, m):

@@ -139,13 +139,13 @@ def test_ablate_steps_rejects_values(cfg_file, tmp_path, capsys):
 
 def test_removed_knobs_are_rejected(cfg_file, tmp_path, capsys):
     # --workers and --deterministic changed nothing and are gone, as are the
-    # config fields behind them.
+    # config fields behind them and the never-set renormalize_after_ccr.
     for flag in (["--workers", 4], ["--deterministic"]):
         with pytest.raises(SystemExit) as exc:
             _run("simulate", "--config", cfg_file, "--out", tmp_path / "o", *flag)
         assert exc.value.code == 2
     capsys.readouterr()
-    for field, value in (("workers", 1), ("deterministic", True)):
+    for field, value in (("workers", 1), ("deterministic", True), ("renormalize_after_ccr", True)):
         payload = json.loads(cfg_file.read_text())
         payload[field] = value
         bad = tmp_path / f"{field}.json"
@@ -186,3 +186,15 @@ def test_evaluate_without_ccr(cfg_file, tmp_path, capsys):
     assert "mAP" in capsys.readouterr().out
     manifest = json.loads((out / "eval" / "manifest.json").read_text())
     assert manifest["extra"]["use_ccr"] is False
+
+
+def test_eval_split_with_unknown_det_id_exits_3(cfg_file, tmp_path, capsys):
+    out = tmp_path / "exp"
+    for command in ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-ccr"):
+        assert _run(command, "--config", cfg_file, "--out", out) == 0
+    capsys.readouterr()
+    (out / "sim" / "query_ids.jsonl").write_text(json.dumps({"det_id": 987654321}) + "\n")
+    assert _run("evaluate", "--config", cfg_file, "--out", out) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ManifestError"
+    assert "987654321" in record["message"]
