@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "ablate":
             p.add_argument(
                 "--axis",
-                choices=("steps", "min_len", "data_fraction", "model_size"),
+                choices=tuple(pl.ABLATIONS),
                 required=True,
             )
             p.add_argument(

@@ -143,7 +143,6 @@ class PipelineConfig:
 
 @dataclass
 class Benchmark:
-    world: synth.SyntheticWorld
     full: synth.DetectionTable  # every detection, gt included; what the simulate stage writes
     train: synth.DetectionTable  # gt stripped
     query: synth.DetectionTable
@@ -170,12 +169,11 @@ def build_benchmark(config: PipelineConfig) -> Benchmark:
     """Generate world and stream, then carve the fixed evaluation split."""
     config.validate()
     world = synth.generate_world(config.stream, config.n_identities, config.n_cameras, config.seed)
-    full = synth.DetectionTable.from_frames(synth.simulate_stream(world)).astype(config.dtype)
+    full = synth.simulate_stream(world).astype(config.dtype)
     query, gallery = synth.split_eval(world, full, config.query_frac, config.eval_window_frac)
     return Benchmark(
-        world=world,
         full=full,
-        train=synth.training_table(world, full, config.eval_window_frac),
+        train=synth.training_table(config.stream, full, config.eval_window_frac),
         query=query,
         gallery=gallery,
         gt_by_det={int(d): int(g) for d, g in zip(full.det_id, full.gt_id)},
@@ -357,12 +355,6 @@ def slice_fraction(config: PipelineConfig, train: synth.DetectionTable, fraction
     return train.select(train.frame < cutoff)
 
 
-def run_fraction_arm(config: PipelineConfig, bench: Benchmark, fraction: float) -> ev.EvalReport:
-    """Full pipeline trained on a time slice, scored on the unchanged split."""
-    sliced = slice_fraction(config, bench.train, fraction)
-    return run_pipeline(config, dataclasses.replace(bench, train=sliced)).report
-
-
 def ablation_min_len(
     config: PipelineConfig, values=MIN_LEN_VALUES, bench: Benchmark | None = None
 ) -> list[dict]:
@@ -395,21 +387,30 @@ def ablation_data_fraction(
 ) -> list[dict]:
     """Sweep contiguous time slices of the training window.
 
-    The whole grid runs with a reduced batch and bank so the smallest slice
-    can still form full batches; the override is uniform across fractions to
-    keep the points comparable.
+    Each arm runs the full pipeline on its slice and is scored on the
+    unchanged split.  The whole grid runs with a reduced batch and bank so
+    the smallest slice can still form full batches; the override is uniform
+    across fractions to keep the points comparable.  Every slice is checked
+    before any arm trains.
     """
     if bench is None:
         bench = build_benchmark(config)
     small = dataclasses.replace(config.contrastive, batch_size=64, bank_size=1024)
     config = config.with_overrides(contrastive=small)
+    slices = [slice_fraction(config, bench.train, fraction) for fraction in values]
+    for fraction, sliced in zip(values, slices):
+        if len(sliced) < small.batch_size:
+            raise InvalidInputError(
+                f"data_fraction {fraction} leaves {len(sliced)} training detections, "
+                f"fewer than the batch size {small.batch_size}"
+            )
     rows = []
-    for fraction in values:
-        report = run_fraction_arm(config, bench, fraction)
+    for fraction, sliced in zip(values, slices):
+        report = run_pipeline(config, dataclasses.replace(bench, train=sliced)).report
         rows.append(
             {
                 "data_fraction": float(fraction),
-                "n_train": int(len(slice_fraction(config, bench.train, fraction))),
+                "n_train": len(sliced),
                 "rank1": report.rank1,
                 "mean_ap": report.mean_ap,
             }
@@ -449,24 +450,28 @@ def ablation_model_size(
     return rows
 
 
+ABLATIONS = {
+    "steps": ablation_steps,
+    "min_len": ablation_min_len,
+    "data_fraction": ablation_data_fraction,
+    "model_size": ablation_model_size,
+}
+
+
 def ablation_grid(config: PipelineConfig, axis: str, values=None, bench: Benchmark | None = None) -> list[dict]:
     """Dispatch one ablation axis; values=None uses the axis defaults.
 
     The steps axis has fixed arms and takes no values.
     """
-    if values is not None and (not isinstance(values, (list, tuple)) or not values):
+    if axis not in ABLATIONS:
+        raise InvalidInputError(f"unknown ablation axis '{axis}'")
+    if values is None:
+        return ABLATIONS[axis](config, bench=bench)
+    if not isinstance(values, (list, tuple)) or not values:
         raise InvalidInputError(f"ablation values must be a non-empty list, got {values!r}")
     if axis == "steps":
-        if values is not None:
-            raise InvalidInputError(f"the steps axis has fixed arms {list(STEP_ARMS)} and takes no values")
-        return ablation_steps(config, bench=bench)
-    if axis == "min_len":
-        return ablation_min_len(config, values or MIN_LEN_VALUES, bench=bench)
-    if axis == "data_fraction":
-        return ablation_data_fraction(config, values or DATA_FRACTIONS, bench=bench)
-    if axis == "model_size":
-        return ablation_model_size(config, values or MODEL_SIZES, bench=bench)
-    raise InvalidInputError(f"unknown ablation axis '{axis}'")
+        raise InvalidInputError(f"the steps axis has fixed arms {list(STEP_ARMS)} and takes no values")
+    return ABLATIONS[axis](config, values, bench=bench)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +529,6 @@ def load_config(root: Path) -> PipelineConfig:
     return PipelineConfig.from_payload(json.loads(path.read_text()))
 
 
-# Integer columns of sim/detections.jsonl, named as DetectionTable's arguments.
-_DETECTION_COLUMNS = ("det_id", "frame", "camera_id", "gt_id", "ghost")
-
-
 def _sim_inputs(root: Path) -> dict[str, Path]:
     """The two files the detection table is read from."""
     sim = root / "sim"
@@ -546,8 +547,9 @@ def stage_simulate(root: Path, config: PipelineConfig, force: bool = False) -> b
             stage_dir / name
             for name in ("detections.jsonl", "observations.rctr", "query_ids.jsonl", "gallery_ids.jsonl")
         ]
-        rows = zip(*(getattr(full, c).tolist() for c in _DETECTION_COLUMNS))
-        storage.write_records(outputs[0], (dict(zip(_DETECTION_COLUMNS, row)) for row in rows))
+        columns = full.INT_COLUMNS
+        rows = zip(*(getattr(full, c).tolist() for c in columns))
+        storage.write_records(outputs[0], (dict(zip(columns, row)) for row in rows))
         storage.write_tensors(outputs[1], {"det_ids": full.det_id, "observations": full.observations})
         storage.write_records(outputs[2], ({"det_id": int(d)} for d in bench.query.det_id))
         storage.write_records(outputs[3], ({"det_id": int(d)} for d in bench.gallery.det_id))
@@ -577,7 +579,7 @@ def load_full_table(
     if key not in _table_cache:
         recs = storage.read_records(root / "sim" / "detections.jsonl")
         tens = storage.read_tensors(root / "sim" / "observations.rctr")
-        columns = {c: np.array([r[c] for r in recs], dtype=np.int64) for c in _DETECTION_COLUMNS}
+        columns = {c: np.array([r[c] for r in recs], dtype=np.int64) for c in synth.DetectionTable.INT_COLUMNS}
         if not np.array_equal(columns["det_id"], tens["det_ids"]):
             raise ManifestError("detections.jsonl and observations.rctr disagree on det_ids")
         for column in (*columns.values(), tens["observations"]):
@@ -591,9 +593,7 @@ def load_train_table(
     root: Path, config: PipelineConfig, digests: dict[str, str] | None = None
 ) -> synth.DetectionTable:
     """Training-window detections with gt stripped; the training stages' reader."""
-    full = load_full_table(root, config, digests)
-    start = synth.eval_window_start(config.stream, config.eval_window_frac)
-    return full.select(full.frame < start).without_gt()
+    return synth.training_table(config.stream, load_full_table(root, config, digests), config.eval_window_frac)
 
 
 def load_eval_split(
@@ -721,7 +721,12 @@ def load_segments(root: Path) -> list[trk.TrackletSegment]:
 def stage_train_tsd(root: Path, config: PipelineConfig, force: bool = False) -> bool:
     def body(stage_dir, digests):
         train = load_train_table(root, config, digests)
-        pair, stats = train_tsd(config, load_checkpoint(root / "cid"), load_segments(root), train)
+        segments = load_segments(root)
+        known = set(train.det_id.tolist())
+        unknown = [d for s in segments for d in s.det_ids if d not in known]
+        if unknown:
+            raise ManifestError(f"segments/segments.jsonl names det_id {unknown[0]}, which is not in the training table")
+        pair, stats = train_tsd(config, load_checkpoint(root / "cid"), segments, train)
         return save_checkpoint(stage_dir, pair, stats, config, "tsd"), None
 
     inputs = {

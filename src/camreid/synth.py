@@ -29,8 +29,8 @@ of the simulator and the evaluator sees them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -115,23 +115,6 @@ class CameraModel:
     transform: np.ndarray  # d_obs x d_latent, full column rank
     bias: np.ndarray  # d_obs
     noise_sigma: float
-
-
-@dataclass(frozen=True, eq=False)
-class Detection:
-    det_id: int
-    frame: int
-    camera_id: int
-    observation: np.ndarray
-    gt_id: int = GT_HIDDEN
-    is_ghost: bool = False
-
-
-@dataclass(frozen=True)
-class FrameBatch:
-    camera_id: int
-    frame: int
-    detections: tuple[Detection, ...]
 
 
 @dataclass(frozen=True)
@@ -240,14 +223,15 @@ _GHOST_OFFSET_SCALE = 1.0
 _GHOST_EXTRA_FRAMES = 1.5
 
 
-def simulate_stream(world: SyntheticWorld) -> list[FrameBatch]:
+def simulate_stream(world: SyntheticWorld) -> DetectionTable:
     """Roll the world forward, one independent RNG stream per camera.
 
-    Returns frame batches ordered by (camera_id, frame), with globally unique
-    det_ids assigned in that order.  Dropout removes single detections;
-    crossing events swap which identity generates the observation for one
-    frame while gt labels stay with their walkers; ghost events add transient
-    blended detections on top of the real ones.
+    Returns the detection table, gt labels and ghost flags included, with
+    rows ordered by (camera_id, frame) and det_ids 0..n-1 assigned in that
+    order; an empty stream gives a 0-row table with d_obs columns.  Dropout
+    removes single detections; crossing events swap which identity generates
+    the observation for one frame while gt labels stay with their walkers;
+    ghost events add transient blended detections on top of the real ones.
     """
     cfg = world.config
     n_ids = len(world.identities)
@@ -257,8 +241,7 @@ def simulate_stream(world: SyntheticWorld) -> list[FrameBatch]:
     innov = np.sqrt(1.0 - rho * rho)
     bright_dir = np.ones(cfg.d_obs) / np.sqrt(cfg.d_obs)
 
-    batches: list[FrameBatch] = []
-    det_counter = 0
+    rows: list[tuple] = []  # (frame, camera_id, gt_id, ghost, observation) per detection
     for cam in world.cameras:
         rng = _rng(world.seed, _SALT_STREAM, cam.camera_id)
         walkers: list[_Walker] = []
@@ -295,7 +278,6 @@ def simulate_stream(world: SyntheticWorld) -> list[FrameBatch]:
                 wi, wj = walkers[int(i)], walkers[int(j)]
                 source[id(wi)], source[id(wj)] = source[id(wj)], source[id(wi)]
 
-            dets = []
             for w in walkers:
                 # The pose walk advances every frame, observed or not.
                 w.pose_state = rho * w.pose_state + innov * (
@@ -311,7 +293,7 @@ def simulate_stream(world: SyntheticWorld) -> list[FrameBatch]:
                     + flicker * bright_dir
                     + cam.noise_sigma * rng.standard_normal(cfg.d_obs)
                 )
-                dets.append((w.identity, obs, False))
+                rows.append((f, cam.camera_id, w.identity, 0, obs))
             if ghost is not None:
                 wgt = ghost.weight
                 blend = (
@@ -330,7 +312,7 @@ def simulate_stream(world: SyntheticWorld) -> list[FrameBatch]:
                     + cam.noise_sigma * rng.standard_normal(cfg.d_obs)
                 )
                 label = ghost.a.identity if wgt >= 0.5 else ghost.b.identity
-                dets.append((label, obs, True))
+                rows.append((f, cam.camera_id, label, 1, obs))
                 ghost.weight = float(
                     np.clip(
                         wgt + _GHOST_W_DRIFT * rng.standard_normal(),
@@ -340,21 +322,15 @@ def simulate_stream(world: SyntheticWorld) -> list[FrameBatch]:
                 )
                 ghost.frames_left -= 1
 
-            det_objs = []
-            for gt, obs, ghostly in dets:
-                det_objs.append(
-                    Detection(
-                        det_id=det_counter,
-                        frame=f,
-                        camera_id=cam.camera_id,
-                        observation=obs,
-                        gt_id=gt,
-                        is_ghost=ghostly,
-                    )
-                )
-                det_counter += 1
-            batches.append(FrameBatch(camera_id=cam.camera_id, frame=f, detections=tuple(det_objs)))
-    return batches
+    frame, camera_id, gt_id, ghost, obs = zip(*rows) if rows else ((),) * 5
+    return DetectionTable(
+        det_id=np.arange(len(rows)),
+        frame=frame,
+        camera_id=camera_id,
+        gt_id=gt_id,
+        observations=np.stack(obs) if rows else np.zeros((0, cfg.d_obs)),
+        ghost=ghost,
+    )
 
 
 def augment_batch(x: np.ndarray, rng: np.random.Generator, strength: float) -> np.ndarray:
@@ -383,23 +359,33 @@ def augment_batch(x: np.ndarray, rng: np.random.Generator, strength: float) -> n
     return (gain * (a + jitter + brightness) * keep).astype(a.dtype, copy=False)
 
 
+@dataclass(eq=False)
 class DetectionTable:
-    """Column-oriented view of a detection set for bulk numpy work."""
+    """Column-oriented detection set for bulk numpy work.
 
-    def __init__(self, det_id, frame, camera_id, gt_id, observations, ghost=None):
-        self.det_id = np.asarray(det_id, dtype=np.int64)
-        self.frame = np.asarray(frame, dtype=np.int64)
-        self.camera_id = np.asarray(camera_id, dtype=np.int64)
-        self.gt_id = np.asarray(gt_id, dtype=np.int64)
-        self.observations = np.asarray(observations)
+    The fields are the columns: one int64 array per integer column (see
+    ``INT_COLUMNS``) and an n x d observation matrix.  ``ghost`` defaults
+    to all zeros.
+    """
+
+    det_id: np.ndarray
+    frame: np.ndarray
+    camera_id: np.ndarray
+    gt_id: np.ndarray
+    observations: np.ndarray
+    ghost: np.ndarray | None = None
+
+    # Every field but the observations, in field order; set below.
+    INT_COLUMNS: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self) -> None:
         n = len(self.det_id)
-        if ghost is None:
+        if self.ghost is None:
             self.ghost = np.zeros(n, dtype=np.int64)
-        else:
-            self.ghost = np.asarray(ghost, dtype=np.int64)
-        if not (
-            len(self.frame) == len(self.camera_id) == len(self.gt_id) == len(self.ghost) == n
-        ):
+        for name in self.INT_COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        self.observations = np.asarray(self.observations)
+        if any(len(getattr(self, name)) != n for name in self.INT_COLUMNS):
             raise InvalidInputError("detection table columns disagree on length")
         if self.observations.ndim != 2 or self.observations.shape[0] != n:
             raise InvalidInputError("observation matrix does not match table length")
@@ -407,60 +393,18 @@ class DetectionTable:
     def __len__(self) -> int:
         return len(self.det_id)
 
-    @staticmethod
-    def from_frames(frames: Iterable[FrameBatch]) -> "DetectionTable":
-        dets = [d for fb in frames for d in fb.detections]
-        return DetectionTable.from_detections(dets)
-
-    @staticmethod
-    def from_detections(dets: list[Detection]) -> "DetectionTable":
-        if not dets:
-            d = 0
-            return DetectionTable(
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-                np.zeros((0, d)),
-            )
-        return DetectionTable(
-            det_id=[d.det_id for d in dets],
-            frame=[d.frame for d in dets],
-            camera_id=[d.camera_id for d in dets],
-            gt_id=[d.gt_id for d in dets],
-            observations=np.stack([d.observation for d in dets]),
-            ghost=[int(d.is_ghost) for d in dets],
-        )
-
     def select(self, mask_or_idx) -> "DetectionTable":
-        return DetectionTable(
-            self.det_id[mask_or_idx],
-            self.frame[mask_or_idx],
-            self.camera_id[mask_or_idx],
-            self.gt_id[mask_or_idx],
-            self.observations[mask_or_idx],
-            self.ghost[mask_or_idx],
-        )
+        return DetectionTable(**{f.name: getattr(self, f.name)[mask_or_idx] for f in fields(self)})
 
     def without_gt(self) -> "DetectionTable":
         """Copy with the evaluation-only channels (gt, ghost flag) cleared."""
-        return DetectionTable(
-            self.det_id,
-            self.frame,
-            self.camera_id,
-            np.full(len(self), GT_HIDDEN, dtype=np.int64),
-            self.observations,
-        )
+        return replace(self, gt_id=np.full(len(self), GT_HIDDEN, dtype=np.int64), ghost=None)
 
     def astype(self, dtype) -> "DetectionTable":
-        return DetectionTable(
-            self.det_id,
-            self.frame,
-            self.camera_id,
-            self.gt_id,
-            self.observations.astype(dtype, copy=False),
-            self.ghost,
-        )
+        return replace(self, observations=self.observations.astype(dtype, copy=False))
+
+
+DetectionTable.INT_COLUMNS = tuple(f.name for f in fields(DetectionTable) if f.name != "observations")
 
 
 def split_eval(
@@ -536,8 +480,8 @@ def eval_window_start(config: StreamConfig, eval_window_frac: float) -> int:
 
 
 def training_table(
-    world: SyntheticWorld, table: DetectionTable, eval_window_frac: float = 0.15
+    config: StreamConfig, table: DetectionTable, eval_window_frac: float = 0.15
 ) -> DetectionTable:
     """Detections before the evaluation window, with gt labels stripped."""
-    start = eval_window_start(world.config, eval_window_frac)
+    start = eval_window_start(config, eval_window_frac)
     return table.select(table.frame < start).without_gt()

@@ -137,6 +137,20 @@ def test_ablate_steps_rejects_values(cfg_file, tmp_path, capsys):
     assert not (tmp_path / "o" / "ablation" / "steps.jsonl").exists()
 
 
+def test_ablate_data_fraction_names_the_slice_too_small_to_train(cfg_file, tmp_path, monkeypatch, capsys):
+    # The default grid's 1 % slice of this scene holds fewer detections than
+    # the grid's batch of 64; the whole grid is refused before any arm trains.
+    def no_training(*args, **kwargs):
+        pytest.fail("an arm trained before every slice was checked")
+
+    monkeypatch.setattr(pl, "train_cid", no_training)
+    rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "data_fraction")
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidInputError"
+    assert "0.01" in record["message"] and "64" in record["message"]
+
+
 def test_removed_knobs_are_rejected(cfg_file, tmp_path, capsys):
     # --workers and --deterministic changed nothing and are gone, as are the
     # config fields behind them and the never-set renormalize_after_ccr.
@@ -188,13 +202,48 @@ def test_evaluate_without_ccr(cfg_file, tmp_path, capsys):
     assert manifest["extra"]["use_ccr"] is False
 
 
-def test_eval_split_with_unknown_det_id_exits_3(cfg_file, tmp_path, capsys):
+def _name_unknown_query(path):
+    path.write_text(json.dumps({"det_id": 987654321}) + "\n")
+
+
+def _name_unknown_segment_member(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[0]["det_ids"][0] = 987654321
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def _cut_in_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _cut_first_record(path):
+    text = path.read_text()
+    path.write_text(text[: text.index("\n") // 2])
+
+
+_CHAIN = ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-ccr", "evaluate")
+
+
+@pytest.mark.parametrize(
+    "target, corrupt, command, named",
+    [
+        ("sim/query_ids.jsonl", _name_unknown_query, "evaluate", "987654321"),
+        ("segments/segments.jsonl", _name_unknown_segment_member, "train-tsd", "987654321"),
+        ("cid/checkpoint.rctr", _cut_in_half, "extract", "checkpoint.rctr"),
+        ("segments/segments.jsonl", _cut_first_record, "train-tsd", "segments.jsonl"),
+    ],
+    ids=["unknown-query-id", "unknown-segment-id", "truncated-checkpoint", "truncated-segments"],
+)
+def test_corrupt_stage_input_exits_3(cfg_file, tmp_path, capsys, target, corrupt, command, named):
+    # A stage input that was damaged after its stage wrote it is a manifest
+    # fault: exit 3 with a JSON record naming what is wrong, never a traceback.
     out = tmp_path / "exp"
-    for command in ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-ccr"):
-        assert _run(command, "--config", cfg_file, "--out", out) == 0
+    for step in _CHAIN[: _CHAIN.index(command)]:
+        assert _run(step, "--config", cfg_file, "--out", out) == 0
     capsys.readouterr()
-    (out / "sim" / "query_ids.jsonl").write_text(json.dumps({"det_id": 987654321}) + "\n")
-    assert _run("evaluate", "--config", cfg_file, "--out", out) == 3
+    corrupt(out / target)
+    assert _run(command, "--config", cfg_file, "--out", out) == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ManifestError"
-    assert "987654321" in record["message"]
+    assert named in record["message"]

@@ -204,7 +204,7 @@ def test_evaluate_skips_matchless_queries():
 
 
 def test_evaluate_empty_split_raises():
-    empty = DetectionTable.from_detections([])
+    empty = DetectionTable(det_id=[], frame=[], camera_id=[], gt_id=[], observations=np.zeros((0, 2)))
     with pytest.raises(DegenerateInputError):
         _evaluate_raw(ev.EvalProtocol(query=empty, gallery=empty))
 

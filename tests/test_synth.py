@@ -16,8 +16,8 @@ def _world(seed=0, config=SMALL, n_identities=20, n_cameras=3):
 
 
 def test_same_seed_reproduces_stream_bit_for_bit():
-    a = synth.DetectionTable.from_frames(synth.simulate_stream(_world(seed=5)))
-    b = synth.DetectionTable.from_frames(synth.simulate_stream(_world(seed=5)))
+    a = synth.simulate_stream(_world(seed=5))
+    b = synth.simulate_stream(_world(seed=5))
     assert np.array_equal(a.det_id, b.det_id)
     assert np.array_equal(a.gt_id, b.gt_id)
     assert np.array_equal(a.ghost, b.ghost)
@@ -25,8 +25,8 @@ def test_same_seed_reproduces_stream_bit_for_bit():
 
 
 def test_different_seeds_differ():
-    a = synth.DetectionTable.from_frames(synth.simulate_stream(_world(seed=1)))
-    b = synth.DetectionTable.from_frames(synth.simulate_stream(_world(seed=2)))
+    a = synth.simulate_stream(_world(seed=1))
+    b = synth.simulate_stream(_world(seed=2))
     assert len(a) != len(b) or not np.array_equal(a.observations, b.observations)
 
 
@@ -45,13 +45,21 @@ def test_world_shapes_and_normalization():
 
 def test_full_dropout_yields_no_real_detections():
     cfg = dataclasses.replace(SMALL, dropout_prob=1.0, ghost_rate=0.0)
-    stream = synth.simulate_stream(_world(config=cfg))
-    assert all(len(fb.detections) == 0 for fb in stream)
+    table = synth.simulate_stream(_world(config=cfg))
+    assert len(table) == 0
+
+
+def test_zero_entry_rate_stream_is_an_empty_table():
+    cfg = dataclasses.replace(SMALL, entry_rate=0.0)
+    table = synth.simulate_stream(_world(config=cfg))
+    assert len(table) == 0
+    assert table.observations.shape == (0, SMALL.d_obs)
+    assert all(getattr(table, c).dtype == np.int64 for c in synth.DetectionTable.INT_COLUMNS)
 
 
 def test_stream_detections_are_well_formed():
     world = _world(seed=3)
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    table = synth.simulate_stream(world)
     assert len(table) > 0
     # det_ids unique and ordered by (camera, frame) construction.
     assert len(np.unique(table.det_id)) == len(table)
@@ -65,14 +73,14 @@ def test_stream_detections_are_well_formed():
 
 def test_ghost_rate_zero_means_no_ghosts():
     cfg = dataclasses.replace(SMALL, ghost_rate=0.0)
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(_world(config=cfg)))
+    table = synth.simulate_stream(_world(config=cfg))
     assert table.ghost.sum() == 0
 
 
 def test_ghosts_appear_and_carry_valid_labels():
     cfg = dataclasses.replace(SMALL, ghost_rate=0.5, entry_rate=0.4)
     world = _world(config=cfg, n_identities=30)
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    table = synth.simulate_stream(world)
     ghosts = table.select(table.ghost == 1)
     assert len(ghosts) > 0
     assert ghosts.gt_id.min() >= 0
@@ -165,7 +173,7 @@ def test_generate_world_validation():
 
 def test_split_eval_partitions_the_window():
     world = _world(seed=7, config=dataclasses.replace(SMALL, duration_frames=600))
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    table = synth.simulate_stream(world)
     query, gallery = synth.split_eval(world, table, query_frac=0.33)
     start = synth.eval_window_start(world.config, 0.15)
     assert len(query) > 0 and len(gallery) > 0
@@ -177,7 +185,7 @@ def test_split_eval_partitions_the_window():
 
 def test_split_eval_every_query_has_cross_camera_match():
     world = _world(seed=8, config=dataclasses.replace(SMALL, duration_frames=600))
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    table = synth.simulate_stream(world)
     query, gallery = synth.split_eval(world, table, query_frac=0.33)
     for gt, cam in zip(query.gt_id, query.camera_id):
         other = (gallery.gt_id == gt) & (gallery.camera_id != cam)
@@ -186,7 +194,7 @@ def test_split_eval_every_query_has_cross_camera_match():
 
 def test_split_eval_deterministic():
     world = _world(seed=9, config=dataclasses.replace(SMALL, duration_frames=600))
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    table = synth.simulate_stream(world)
     q1, g1 = synth.split_eval(world, table, 0.33)
     q2, g2 = synth.split_eval(world, table, 0.33)
     assert np.array_equal(q1.det_id, q2.det_id)
@@ -195,19 +203,19 @@ def test_split_eval_deterministic():
 
 def test_split_eval_validation():
     world = _world(seed=7)
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    table = synth.simulate_stream(world)
     with pytest.raises(InvalidInputError):
         synth.split_eval(world, table, query_frac=0.0)
     with pytest.raises(InvalidInputError):
         synth.split_eval(world, table, 0.3, eval_window_frac=1.0)
     with pytest.raises(DegenerateInputError):
-        synth.split_eval(world, synth.DetectionTable.from_detections([]), 0.3)
+        synth.split_eval(world, table.select(np.zeros(0, dtype=np.int64)), 0.3)
 
 
 def test_training_table_hides_evaluation_channels():
     world = _world(seed=10, config=dataclasses.replace(SMALL, duration_frames=600))
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
-    train = synth.training_table(world, table, eval_window_frac=0.15)
+    table = synth.simulate_stream(world)
+    train = synth.training_table(world.config, table, eval_window_frac=0.15)
     start = synth.eval_window_start(world.config, 0.15)
     assert train.frame.max() < start
     assert np.all(train.gt_id == synth.GT_HIDDEN)
@@ -222,7 +230,7 @@ def test_eval_window_start_arithmetic():
 
 def test_detection_table_select_and_astype():
     world = _world(seed=11)
-    table = synth.DetectionTable.from_frames(synth.simulate_stream(world))
+    table = synth.simulate_stream(world)
     sub = table.select(table.camera_id == 0)
     assert np.all(sub.camera_id == 0)
     f32 = table.astype(np.float32)
