@@ -20,7 +20,7 @@ from .errors import (
     ManifestError,
     TrainingDivergenceError,
 )
-from .evaluation import EvalProtocol, EvalReport, cmc_curve, evaluate, mean_ap
+from .evaluation import EvalProtocol, EvalReport, evaluate
 from .pipeline import PipelineConfig, build_benchmark, run_pipeline, run_steps_ablation
 from .synth import StreamConfig, generate_world, simulate_stream, split_eval
 from .tracklet import assemble_segments, filter_segments, mutual_matches, segment_stats

@@ -1,22 +1,43 @@
 """Retrieval evaluation: CMC and mean average precision over a query/gallery split.
 
-Gallery detections are ranked per query by ascending Euclidean distance in
-embedding space, ties broken by gallery index.  With the cross-camera filter
-on (the default), gallery detections sharing both identity and camera with
-the query are excluded before ranking, so a match must come from another
-camera.  Queries with no remaining relevant gallery detection are skipped.
+Gallery detections are ranked per query by ascending squared Euclidean
+distance in embedding space, ties broken by gallery index.  With the
+cross-camera filter on (the default), gallery detections sharing both
+identity and camera with the query are excluded, so a match must come from
+another camera; these are the "junk" items of the Market-1501 protocol
+(Zheng et al., ICCV 2015).  Queries with no remaining relevant gallery
+detection are skipped.
+
+CMC and AP need only the rank of each relevant item: one plus the number of
+kept items with a smaller squared distance, or an equal one at a lower
+gallery index.  Ranks follow the exact distance: the per-row ``g - q``
+difference summed by ``einsum`` in the embeddings' dtype.  Computing that
+for the whole gallery is the cost, so a
+float64 screen, ``|q|^2 + |g|^2 - 2 q.g`` from one GEMM per block of
+queries, settles most comparisons instead.  Each screened value comes with
+a bound on its distance from the exact one.  The bound covers the working
+dtype's rounding of the per-row formula, at most ``gamma(D + 2) d^2`` with
+``gamma(n) = n u / (1 - n u)`` for unit roundoff u, plus an underflow term,
+and the screen's own float64 rounding, at most ``(2D + 8) u64 (|q|^2 +
+|g|^2)``.  It is doubled for margin.  A gallery item whose screened value
+lies within that bound of a relevant item's exact distance is scored
+exactly.  The ranks, and so the report, are those of a full stable sort of
+the exact distances.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .synth import DetectionTable
+
+_SCREEN_BLOCK_BYTES = 4 << 20  # float64 screen rows held at once
+_U64 = 2.0**-53  # float64 unit roundoff
 
 
 @dataclass(frozen=True)
@@ -59,92 +80,59 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def rank_gallery(
-    query_emb: np.ndarray,
-    gallery_emb: np.ndarray,
-    query_gt: int,
-    query_cam: int,
+def _sq_dists(query: np.ndarray, gallery: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Exact squared distances from one query to some gallery rows."""
+    diff = gallery[rows] - query
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _rows_by_identity(gt: np.ndarray) -> dict[int, np.ndarray]:
+    """Gallery row indices of each identity, ascending."""
+    order = np.argsort(gt, kind="stable")
+    ids, starts = np.unique(gt[order], return_index=True)
+    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+
+
+def _relevant_ranks(
+    query: np.ndarray,
+    gallery: np.ndarray,
     gallery_gt: np.ndarray,
-    gallery_cam: np.ndarray,
-    cross_camera_filter: bool = True,
+    query_gt: int,
+    relevant: np.ndarray,
+    screen: np.ndarray,
+    bound_abs: float,
+    bound_rel: float,
 ) -> np.ndarray:
-    """Gallery indices sorted by ascending distance to one query.
+    """1-based ranks of a query's relevant gallery rows, ascending.
 
-    Filtered (same identity, same camera) indices are absent from the
-    result.  Ties keep gallery-index order via a stable sort on squared
-    distances, which order identically to distances.
+    ``screen`` holds the query's screened squared distance to every gallery
+    row; each lies within ``bound_abs + bound_rel * max(screen, 0)`` of the
+    row's exact distance.
     """
-    q = np.asarray(query_emb)
-    g = np.asarray(gallery_emb)
-    if q.ndim != 1 or g.ndim != 2 or g.shape[1] != q.shape[0]:
-        raise InvalidInputError("query/gallery embedding shapes disagree")
-    diff = g - q[None, :]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    if cross_camera_filter:
-        keep = ~((np.asarray(gallery_gt) == query_gt) & (np.asarray(gallery_cam) == query_cam))
-        idx = np.flatnonzero(keep)
-    else:
-        idx = np.arange(g.shape[0])
-    order = np.argsort(d2[idx], kind="stable")
-    return idx[order]
-
-
-def cmc_curve(match_lists: list[np.ndarray], ranks: tuple[int, ...] = (1, 5, 10)) -> dict[int, float]:
-    """Fraction of queries with a relevant hit at or before each rank."""
-    if not match_lists:
-        raise DegenerateInputError("no queries to score")
-    if any(r < 1 for r in ranks):
-        raise InvalidInputError("ranks must be >= 1")
-    out = {}
-    for r in ranks:
-        hits = sum(1 for m in match_lists if m[:r].any())
-        out[r] = hits / len(match_lists)
-    return out
-
-
-def average_precision(matches: np.ndarray) -> float:
-    """Precision averaged over the ranks of the relevant items.
-
-    The terms are combined with an exactly-rounded sum, so the result does
-    not depend on accumulation order and an independent reference that sums
-    the same precision values reproduces it bit for bit.
-    """
-    rel = np.asarray(matches, dtype=np.float64)
-    n_rel = rel.sum()
-    if n_rel == 0:
-        raise DegenerateInputError("query has no relevant gallery item")
-    cum = np.cumsum(rel)
-    ranks = np.arange(1, len(rel) + 1, dtype=np.float64)
-    prec = cum / ranks
-    return math.fsum(prec[rel > 0]) / float(n_rel)
-
-
-def mean_ap(match_lists: list[np.ndarray]) -> float:
-    if not match_lists:
-        raise DegenerateInputError("no queries to score")
-    aps = [average_precision(m) for m in match_lists]
-    return math.fsum(aps) / len(aps)
-
-
-def _match_lists(protocol: EvalProtocol, query_emb: np.ndarray, gallery_emb: np.ndarray):
-    """Ranked binary relevance per query; queries without a match are dropped."""
-    kept, skipped = [], 0
-    for qi in range(len(protocol.query)):
-        ranked = rank_gallery(
-            query_emb[qi],
-            gallery_emb,
-            int(protocol.query.gt_id[qi]),
-            int(protocol.query.camera_id[qi]),
-            protocol.gallery.gt_id,
-            protocol.gallery.camera_id,
-            cross_camera_filter=protocol.cross_camera_filter,
+    d2 = _sq_dists(query, gallery, relevant)
+    order = np.argsort(d2, kind="stable")
+    d2, relevant = d2[order], relevant[order]
+    # A row screened below lo[k] is surely nearer than relevant item k, one
+    # above hi[k] surely farther; in between, its exact distance decides.
+    lo = np.where(d2 >= bound_abs, (d2 - bound_abs) / (1.0 + bound_rel), d2 - bound_abs)
+    hi = (d2 + bound_abs) / (1.0 - bound_rel)
+    near = np.flatnonzero(screen <= hi[-1])
+    near_d2 = screen[near]
+    # Surely nearer than items first_after.. onwards.
+    first_after = np.searchsorted(lo, near_d2, side="right")
+    # The query's own identity is ranked exactly (relevant) or not at all (junk).
+    other = gallery_gt[near] != query_gt
+    unsure = other & (near_d2 <= np.concatenate(([-np.inf], hi))[first_after])
+    m = len(relevant)
+    before = np.cumsum(np.bincount(first_after[other & ~unsure], minlength=m + 1)[:m])
+    rows = near[unsure]
+    if len(rows):
+        rows_d2 = _sq_dists(query, gallery, rows)
+        col = d2[:, None]
+        before += np.count_nonzero(
+            (rows_d2 < col) | ((rows_d2 == col) & (rows < relevant[:, None])), axis=1
         )
-        rel = protocol.gallery.gt_id[ranked] == protocol.query.gt_id[qi]
-        if not rel.any():
-            skipped += 1
-            continue
-        kept.append(rel)
-    return kept, skipped
+    return before + np.arange(1, m + 1)
 
 
 def evaluate(
@@ -153,20 +141,71 @@ def evaluate(
     protocol: EvalProtocol,
     fingerprint: str = "",
 ) -> EvalReport:
-    """Score the split from embeddings whose rows align with its tables."""
+    """Score the split from embeddings whose rows align with its tables.
+
+    Embeddings must be finite.  Any dtype but float32 and float64 is ranked
+    in float64.
+    """
     if len(protocol.query) == 0 or len(protocol.gallery) == 0:
         raise DegenerateInputError("empty query or gallery")
     if len(query_emb) != len(protocol.query) or len(gallery_emb) != len(protocol.gallery):
         raise InvalidInputError("embeddings do not align with the query/gallery tables")
-    kept, skipped = _match_lists(protocol, query_emb, gallery_emb)
-    if not kept:
+    if any(r < 1 for r in protocol.cmc_ranks):
+        raise InvalidInputError("ranks must be >= 1")
+    dtype = np.result_type(query_emb, gallery_emb)
+    if dtype not in (np.float32, np.float64):
+        dtype = np.dtype(np.float64)
+    queries = np.asarray(query_emb, dtype=dtype)
+    gallery = np.asarray(gallery_emb, dtype=dtype)
+    if queries.ndim != 2 or gallery.ndim != 2 or queries.shape[1] != gallery.shape[1]:
+        raise InvalidInputError("query/gallery embedding shapes disagree")
+    dim = gallery.shape[1]
+    gallery64 = np.asarray(gallery, dtype=np.float64)
+    gallery_sq = np.einsum("ij,ij->i", gallery64, gallery64)
+    query_sq = np.einsum("ij,ij->i", queries, queries, dtype=np.float64)
+    limit = np.finfo(dtype).max / 4
+    if not query_sq.max() + gallery_sq.max() < limit:
+        raise InvalidInputError(f"embeddings must be finite with squared norms below {limit:.3g}")
+
+    # Error bounds, doubled for margin (see the module docstring).
+    n = dim + 2
+    u = np.finfo(dtype).eps / 2
+    gamma = n * u / (1.0 - n * u)
+    underflow = dim * (np.finfo(dtype).smallest_subnormal + np.finfo(np.float64).smallest_subnormal)
+    screen_rel = (2 * dim + 8) * _U64
+    bound_rel = 2.0 * gamma
+    bound_abs = 2.0 * ((1.0 + gamma) * screen_rel * (query_sq + gallery_sq.max()) + underflow)
+
+    rows_of = _rows_by_identity(protocol.gallery.gt_id)
+    no_rows = np.zeros(0, dtype=np.int64)
+    q_gt, q_cam = protocol.query.gt_id, protocol.query.camera_id
+    g_gt, g_cam = protocol.gallery.gt_id, protocol.gallery.camera_id
+    block = max(1, _SCREEN_BLOCK_BYTES // (8 * len(gallery)))
+    aps, first_ranks, skipped = [], [], 0
+    for start in range(0, len(queries), block):
+        stop = min(start + block, len(queries))
+        screen = np.asarray(queries[start:stop], dtype=np.float64) @ gallery64.T
+        screen *= -2.0
+        screen += gallery_sq
+        screen += query_sq[start:stop, None]
+        for qi in range(start, stop):
+            same_id = rows_of.get(int(q_gt[qi]), no_rows)
+            relevant = same_id[g_cam[same_id] != q_cam[qi]] if protocol.cross_camera_filter else same_id
+            if len(relevant) == 0:
+                skipped += 1
+                continue
+            ranks = _relevant_ranks(
+                queries[qi], gallery, g_gt, q_gt[qi], relevant,
+                screen[qi - start], bound_abs[qi], bound_rel,
+            )
+            aps.append(math.fsum((np.arange(1, len(ranks) + 1) / ranks).tolist()) / float(len(ranks)))
+            first_ranks.append(int(ranks[0]))
+    if not aps:
         raise DegenerateInputError("every query was skipped; split is unusable")
-    cmc = cmc_curve(kept, protocol.cmc_ranks)
-    aps = [average_precision(m) for m in kept]
     return EvalReport(
-        cmc=cmc,
+        cmc={r: sum(1 for f in first_ranks if f <= r) / len(aps) for r in protocol.cmc_ranks},
         mean_ap=math.fsum(aps) / len(aps),
-        n_queries=len(kept),
+        n_queries=len(aps),
         n_skipped=skipped,
         per_query_ap=aps,
         fingerprint=fingerprint,

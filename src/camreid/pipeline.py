@@ -82,7 +82,10 @@ class PipelineConfig:
         if self.n_identities < 2 or self.n_cameras < 2:
             raise InvalidInputError("need >= 2 identities and >= 2 cameras")
         if len(self.encoder_dims) < 2 or self.encoder_dims[0] != self.stream.d_obs:
-            raise InvalidInputError("encoder_dims must start at d_obs and have >= 2 layers")
+            raise InvalidInputError(
+                f"encoder_dims {list(self.encoder_dims)} must start at d_obs {self.stream.d_obs} "
+                "and have >= 2 layers"
+            )
         if self.min_len < 1:
             raise InvalidInputError("min_len must be >= 1")
         if self.min_affinity is not None and not -1.0 <= self.min_affinity <= 1.0:
@@ -429,12 +432,17 @@ def ablation_steps(config: PipelineConfig, bench: Benchmark | None = None) -> li
 def ablation_model_size(
     config: PipelineConfig, values=MODEL_SIZES, bench: Benchmark | None = None
 ) -> list[dict]:
+    """Sweep the encoder widths; every arm's dims are checked before anything is built."""
+    try:
+        configs = [config.with_overrides(encoder_dims=tuple(int(d) for d in dims)) for dims in values]
+    except (TypeError, ValueError) as e:
+        raise InvalidInputError(f"model_size values must be lists of layer widths, got {values!r}") from e
+    for cfg in configs:
+        cfg.validate()
     if bench is None:
         bench = build_benchmark(config)
     rows = []
-    for dims in values:
-        cfg = config.with_overrides(encoder_dims=tuple(int(d) for d in dims))
-        cfg.validate()
+    for dims, cfg in zip(values, configs):
         result = run_pipeline(cfg, bench=bench)
         rows.append(
             {

@@ -20,6 +20,7 @@ from camreid import encoder as enc
 from camreid import evaluation as ev
 from camreid import pipeline as pl
 from camreid import tracklet as trk
+from camreid.synth import DetectionTable
 
 
 def _verdict(capsys, label: str, ok: bool, detail: str) -> None:
@@ -214,6 +215,11 @@ def _reference_metrics(q_emb, q_gt, q_cam, g_emb, g_gt, g_cam, ranks=(1, 5, 10))
     return cmc, math.fsum(aps) / len(aps)
 
 
+def _table(gt, cam, emb) -> DetectionTable:
+    n = len(gt)
+    return DetectionTable(det_id=np.arange(n), frame=np.zeros(n), camera_id=cam, gt_id=gt, observations=emb)
+
+
 def test_05_retrieval_metrics_equal_brute_force(capsys):
     rng = np.random.default_rng(55)
     for trial in range(100):
@@ -234,14 +240,11 @@ def test_05_retrieval_metrics_equal_brute_force(capsys):
         q_emb = rng.standard_normal((n_q, dim))
         g_emb = rng.standard_normal((n_g, dim))
 
-        got_lists = []
-        for qi in range(n_q):
-            order = ev.rank_gallery(
-                q_emb[qi], g_emb, int(q_gt[qi]), int(q_cam[qi]), g_gt, g_cam
-            )
-            got_lists.append((g_gt[order] == q_gt[qi]).astype(np.int64))
-        got_cmc = ev.cmc_curve(got_lists, ranks=(1, 5, 10))
-        got_map = ev.mean_ap(got_lists)
+        protocol = ev.EvalProtocol(
+            query=_table(q_gt, q_cam, q_emb), gallery=_table(g_gt, g_cam, g_emb), cmc_ranks=(1, 5, 10)
+        )
+        report = ev.evaluate(q_emb, g_emb, protocol)
+        got_cmc, got_map = report.cmc, report.mean_ap
 
         want_cmc, want_map = _reference_metrics(q_emb, q_gt, q_cam, g_emb, g_gt, g_cam)
         assert got_cmc == want_cmc, f"trial {trial}: cmc {got_cmc} != {want_cmc}"

@@ -151,6 +151,41 @@ def test_ablate_data_fraction_names_the_slice_too_small_to_train(cfg_file, tmp_p
     assert "0.01" in record["message"] and "64" in record["message"]
 
 
+def test_ablate_model_size_names_dims_that_miss_d_obs(cfg_file, tmp_path, monkeypatch, capsys):
+    # The default model-size grid starts every arm at 64, but this scene's
+    # observations have 24 dims; the grid is refused before the benchmark
+    # is simulated, naming both.
+    def no_benchmark(*args, **kwargs):
+        pytest.fail("the benchmark was built before every arm's dims were checked")
+
+    monkeypatch.setattr(pl, "build_benchmark", no_benchmark)
+    rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "model_size")
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidInputError"
+    assert "64" in record["message"] and "24" in record["message"]
+    # An arm that is not a list of widths is bad input too.
+    rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "model_size", "--values", "[5]")
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
+
+
+def test_train_tsd_without_a_usable_segment_exits_2(cfg_file, tmp_path, capsys):
+    # A min_len above every segment's length leaves nothing to draw positive
+    # pairs from: train-tsd exits 2 with a JSON record, never a traceback.
+    payload = json.loads(cfg_file.read_text())
+    payload["min_len"] = payload["stream"]["duration_frames"] + 1
+    config = tmp_path / "long_min_len.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "exp"
+    for command in ("simulate", "train-cid", "extract", "trackletize"):
+        assert _run(command, "--config", config, "--out", out) == 0
+    capsys.readouterr()
+    assert _run("train-tsd", "--config", config, "--out", out) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "InvalidInputError", "message": "no segment with >= 2 detections to sample pairs from"}
+
+
 def test_removed_knobs_are_rejected(cfg_file, tmp_path, capsys):
     # --workers and --deterministic changed nothing and are gone, as are the
     # config fields behind them and the never-set renormalize_after_ccr.
