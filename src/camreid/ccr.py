@@ -85,11 +85,18 @@ def fit_camera_classifier(
 
     w = 0.01 * rng.standard_normal((m, n))
     onehot = np.eye(m)
+    # One gather buffer for every batch: a fresh batch_size x n float64 array
+    # per step would be mapped and faulted in anew each time it is past
+    # malloc's mmap threshold.
+    batch = np.empty((min(batch_size, len(xt)), n))
     for _ in range(epochs):
         order = rng.permutation(len(xt))
         for start in range(0, len(xt), batch_size):
             idx = order[start : start + batch_size]
-            xb, yb = xt[idx], yt[idx]
+            # mode="clip" lets take write into ``out`` unbuffered; idx is a
+            # slice of a permutation, so no index is ever clipped.
+            xb = np.take(xt, idx, axis=0, out=batch[: len(idx)], mode="clip")
+            yb = yt[idx]
             probs = _softmax_rows(xb @ w.T)
             grad = (probs - onehot[yb]).T @ xb / len(idx)
             w -= lr * grad

@@ -110,6 +110,11 @@ def _workspace(pair: enc.EncoderPair, bank: MemoryBank, batch_size: int) -> np.n
     return np.empty((batch_size, bank.capacity + 1), dtype=dtype)
 
 
+def _augment_workspace(batch_size: int, dim: int) -> np.ndarray:
+    """Float64 buffers for ``augment_batch``, reused by every view of an epoch."""
+    return np.empty((2, batch_size, dim))
+
+
 def _batch_info_nce(
     q: np.ndarray, k_pos: np.ndarray, negatives: np.ndarray, temperature: float, workspace: np.ndarray
 ):
@@ -178,9 +183,9 @@ def _run_batch(pair, bank, optim, obs_a, obs_b, temperature, lr, workspace):
     loss, grad_q = _batch_info_nce(cache.out, k, bank.negatives(), temperature, workspace)
     if not np.isfinite(loss):
         raise TrainingDivergenceError(f"non-finite contrastive loss {loss}")
-    grads = enc.backward(pair.query, cache, grad_q)
+    grads = enc.backward(pair.query, cache, grad_q, out=optim.grads)
     enc.sgd_step(pair.query, grads, optim, lr)
-    enc.momentum_update(pair)
+    enc.momentum_update(pair, optim.scratch)
     bank.enqueue(k)
     return loss
 
@@ -213,12 +218,13 @@ def cid_epoch(
     step_lr = config.base_lr if lr is None else lr
     perm = rng.permutation(x.shape[0])
     workspace = _workspace(pair, bank, config.batch_size)
+    aug = _augment_workspace(config.batch_size, x.shape[1])
     losses = []
     for start in range(0, x.shape[0] - config.batch_size + 1, config.batch_size):
         idx = perm[start : start + config.batch_size]
         obs = x[idx]
-        view_a = synth.augment_batch(obs, rng, config.aug_strength)
-        view_b = synth.augment_batch(obs, rng, config.aug_strength)
+        view_a = synth.augment_batch(obs, rng, config.aug_strength, aug)
+        view_b = synth.augment_batch(obs, rng, config.aug_strength, aug)
         loss = _run_batch(
             pair, bank, optim, view_a, view_b, config.temperature, step_lr, workspace
         )
@@ -293,12 +299,13 @@ def tsd_epoch(
     n_batches = max(int(lengths.sum()) // config.batch_size, 1)
     step_lr = enc.cosine_lr(epoch, config.epochs_tsd, config.base_lr)
     workspace = _workspace(pair, bank, config.batch_size)
+    aug = _augment_workspace(config.batch_size, x.shape[1])
     losses = []
     for _ in range(n_batches):
         seg_idx = rng.choice(len(usable), size=config.batch_size, p=probs)
         anchors, positives = sample_tsd_pairs(rows, starts, lengths, seg_idx, rng)
-        view_a = synth.augment_batch(x[anchors], rng, config.aug_strength)
-        view_b = synth.augment_batch(x[positives], rng, config.aug_strength)
+        view_a = synth.augment_batch(x[anchors], rng, config.aug_strength, aug)
+        view_b = synth.augment_batch(x[positives], rng, config.aug_strength, aug)
         loss = _run_batch(
             pair, bank, optim, view_a, view_b, config.temperature, step_lr, workspace
         )

@@ -53,15 +53,31 @@ class EncoderPair:
     momentum: float = 0.999
 
 
+def _buffers_like(params: EncoderParams) -> EncoderGrads:
+    return EncoderGrads(
+        weights=[np.empty_like(w) for w in params.weights],
+        biases=[np.empty_like(b) for b in params.biases],
+    )
+
+
 @dataclass
 class OptimState:
-    """SGD with classical momentum and L2 weight decay folded into the velocity."""
+    """SGD with classical momentum and L2 weight decay folded into the velocity.
+
+    ``grads`` and ``scratch`` are parameter-shaped buffers that every
+    training step reuses, for `backward`'s output and for the update
+    arithmetic.  A fresh array the size of a 256 x 128 float32 layer is at
+    malloc's 128 KiB mmap threshold, and would be mapped and faulted in
+    anew on every step.
+    """
 
     velocity_w: list[np.ndarray]
     velocity_b: list[np.ndarray]
     base_lr: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 1e-4
+    grads: EncoderGrads | None = field(default=None, repr=False)
+    scratch: EncoderGrads | None = field(default=None, repr=False)
 
     @staticmethod
     def for_params(params: EncoderParams, base_lr: float = 0.03, momentum: float = 0.9,
@@ -72,6 +88,8 @@ class OptimState:
             base_lr=base_lr,
             momentum=momentum,
             weight_decay=weight_decay,
+            grads=_buffers_like(params),
+            scratch=_buffers_like(params),
         )
 
 
@@ -133,34 +151,37 @@ def forward(params: EncoderParams, batch: np.ndarray) -> np.ndarray:
     return forward_cached(params, batch).out
 
 
-def backward(params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray) -> EncoderGrads:
+def backward(
+    params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray, out: EncoderGrads | None = None
+) -> EncoderGrads:
     """Analytic parameter gradients for the given upstream embedding gradient.
 
     ``cache`` is the forward pass, by the same parameters, that produced the
     embeddings.  The normalization layer's Jacobian is applied first: for
-    y = z/|z|, dz = (g - y (y.g)) / |z|.
+    y = z/|z|, dz = (g - y (y.g)) / |z|.  The gradients are written into
+    ``out`` when it is given, and returned.
     """
-    out = cache.out
+    y = cache.out
     g = np.asarray(grad_embeddings, dtype=params.dtype)
-    if g.shape != out.shape:
+    if g.shape != y.shape:
         raise InvalidInputError("grad_embeddings shape does not match embeddings")
-    dz = np.multiply(out, g)
+    dz = np.multiply(y, g)
     inner = np.sum(dz, axis=1, keepdims=True)
-    np.multiply(out, inner, out=dz)
+    np.multiply(y, inner, out=dz)
     np.subtract(g, dz, out=dz)
     dz /= cache.norms
 
-    gw = [None] * len(params.weights)
-    gb = [None] * len(params.biases)
+    if out is None:
+        out = _buffers_like(params)
     for i in range(len(params.weights) - 1, -1, -1):
         h_in = cache.inputs[i]
-        gw[i] = h_in.T @ dz
-        gb[i] = dz.sum(axis=0)
+        np.matmul(h_in.T, dz, out=out.weights[i])
+        np.sum(dz, axis=0, out=out.biases[i])
         if i > 0:
             dh = dz @ params.weights[i].T
             dh[h_in <= 0] = 0
             dz = dh
-    return EncoderGrads(weights=gw, biases=gb)
+    return out
 
 
 def sgd_step(params: EncoderParams, grads: EncoderGrads, optim: OptimState, lr: float) -> EncoderParams:
@@ -170,14 +191,21 @@ def sgd_step(params: EncoderParams, grads: EncoderGrads, optim: OptimState, lr: 
     for g in grads.weights + grads.biases:
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError("non-finite gradient in sgd_step")
-    for p, g, v in zip(params.weights, grads.weights, optim.velocity_w):
+    scratch = optim.scratch if optim.scratch is not None else _buffers_like(params)
+    lr_t = params.dtype.type(lr)
+    for p, g, v, s in zip(
+        params.weights + params.biases,
+        grads.weights + grads.biases,
+        optim.velocity_w + optim.velocity_b,
+        scratch.weights + scratch.biases,
+    ):
+        # v += g + wd p; p -= lr v, each product and sum rounded as written.
         v *= optim.momentum
-        v += g + optim.weight_decay * p
-        p -= params.dtype.type(lr) * v
-    for p, g, v in zip(params.biases, grads.biases, optim.velocity_b):
-        v *= optim.momentum
-        v += g + optim.weight_decay * p
-        p -= params.dtype.type(lr) * v
+        np.multiply(optim.weight_decay, p, out=s)
+        np.add(g, s, out=s)
+        v += s
+        np.multiply(lr_t, v, out=s)
+        p -= s
     return params
 
 
@@ -190,13 +218,21 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     return 0.5 * base_lr * (1.0 + np.cos(np.pi * epoch / total_epochs))
 
 
-def momentum_update(pair: EncoderPair) -> None:
-    """Move the key network toward the query network: k <- m k + (1 - m) q."""
+def momentum_update(pair: EncoderPair, scratch: EncoderGrads | None = None) -> None:
+    """Move the key network toward the query network: k <- m k + (1 - m) q.
+
+    ``scratch`` holds parameter-shaped buffers for (1 - m) q; without it they
+    are allocated per call.
+    """
+    if scratch is None:
+        scratch = _buffers_like(pair.query)
     m = pair.key.dtype.type(pair.momentum)
     one_minus = pair.key.dtype.type(1.0 - pair.momentum)
-    for kw, qw in zip(pair.key.weights, pair.query.weights):
-        kw *= m
-        kw += one_minus * qw
-    for kb, qb in zip(pair.key.biases, pair.query.biases):
-        kb *= m
-        kb += one_minus * qb
+    for k, q, s in zip(
+        pair.key.weights + pair.key.biases,
+        pair.query.weights + pair.query.biases,
+        scratch.weights + scratch.biases,
+    ):
+        k *= m
+        np.multiply(one_minus, q, out=s)
+        k += s

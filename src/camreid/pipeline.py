@@ -555,12 +555,10 @@ def stage_simulate(root: Path, config: PipelineConfig, force: bool = False) -> b
             stage_dir / name
             for name in ("detections.jsonl", "observations.rctr", "query_ids.jsonl", "gallery_ids.jsonl")
         ]
-        columns = full.INT_COLUMNS
-        rows = zip(*(getattr(full, c).tolist() for c in columns))
-        storage.write_records(outputs[0], (dict(zip(columns, row)) for row in rows))
+        storage.write_int_records(outputs[0], {c: getattr(full, c) for c in full.INT_COLUMNS})
         storage.write_tensors(outputs[1], {"det_ids": full.det_id, "observations": full.observations})
-        storage.write_records(outputs[2], ({"det_id": int(d)} for d in bench.query.det_id))
-        storage.write_records(outputs[3], ({"det_id": int(d)} for d in bench.gallery.det_id))
+        storage.write_int_records(outputs[2], {"det_id": bench.query.det_id})
+        storage.write_int_records(outputs[3], {"det_id": bench.gallery.det_id})
         return outputs, {"n_detections": len(full)}
 
     return _run_stage(root, config, force, "simulate", "sim", {}, body)

@@ -25,7 +25,7 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,6 +118,20 @@ def write_records(path: Path | str, records: Iterable[dict]) -> None:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True))
             fh.write("\n")
+
+
+def write_int_records(path: Path | str, columns: Mapping[str, Sequence[int]]) -> None:
+    """Flat integer records, one per row of ``columns``, as ``write_records`` writes them.
+
+    Row i is the record ``{name: columns[name][i]}``: the same keys in the
+    same sorted order, with the same separators, rendered by one format
+    string instead of a ``json.dumps`` call per row.
+    """
+    names = sorted(columns)
+    line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %d" for k in names) + "}\n"
+    rows = zip(*(np.asarray(columns[k]).tolist() for k in names), strict=True)
+    with _replacing(Path(path), "w") as fh:
+        fh.writelines(line % row for row in rows)
 
 
 def read_records(path: Path | str) -> list[dict]:

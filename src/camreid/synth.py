@@ -223,6 +223,33 @@ _GHOST_OFFSET_SCALE = 1.0
 _GHOST_EXTRA_FRAMES = 1.5
 
 
+def _observe(
+    world: SyntheticWorld,
+    cam: CameraModel,
+    bases: list[np.ndarray],
+    states: list[np.ndarray],
+    flickers: list[float],
+    noises: list[np.ndarray],
+) -> np.ndarray:
+    """One camera's observations from what its detections' draws gave.
+
+    Row i is ``transform @ (bases[i] + pose_basis @ states[i]) + bias
+    + flickers[i] * bright_dir + noise_sigma * noises[i]``, summed in that
+    order.  Each matrix-vector product is one slice of a stacked matmul,
+    which makes the BLAS call a lone ``matrix @ vector`` makes, so the rows
+    are bit-equal to computing them one at a time.
+    """
+    cfg = world.config
+    n = len(bases)
+    pose = np.matmul(world.pose_basis, np.concatenate(states).reshape(n, cfg.pose_dim, 1))
+    latent = np.concatenate(bases).reshape(n, cfg.d_latent, 1) + pose
+    obs = np.matmul(cam.transform, latent).reshape(n, cfg.d_obs)
+    obs += cam.bias
+    obs += np.multiply.outer(np.array(flickers), np.ones(cfg.d_obs) / np.sqrt(cfg.d_obs))
+    obs += cam.noise_sigma * np.concatenate(noises).reshape(n, cfg.d_obs)
+    return obs
+
+
 def simulate_stream(world: SyntheticWorld) -> DetectionTable:
     """Roll the world forward, one independent RNG stream per camera.
 
@@ -232,6 +259,10 @@ def simulate_stream(world: SyntheticWorld) -> DetectionTable:
     removes single detections; crossing events swap which identity generates
     the observation for one frame while gt labels stay with their walkers;
     ghost events add transient blended detections on top of the real ones.
+
+    The frame loop makes every RNG draw and records what each detection's
+    draws gave; a camera's observations are computed from those records
+    once its stream ends (see ``_observe``).
     """
     cfg = world.config
     n_ids = len(world.identities)
@@ -239,13 +270,18 @@ def simulate_stream(world: SyntheticWorld) -> DetectionTable:
     pose_scale = cfg.pose_sigma / np.sqrt(cfg.pose_dim)
     rho = cfg.pose_persistence
     innov = np.sqrt(1.0 - rho * rho)
-    bright_dir = np.ones(cfg.d_obs) / np.sqrt(cfg.d_obs)
 
-    rows: list[tuple] = []  # (frame, camera_id, gt_id, ghost, observation) per detection
+    rows: list[tuple[int, int, int, int]] = []  # (frame, camera_id, gt_id, ghost) per detection
+    obs_parts: list[np.ndarray] = []
     for cam in world.cameras:
         rng = _rng(world.seed, _SALT_STREAM, cam.camera_id)
         walkers: list[_Walker] = []
         ghost: _Ghost | None = None
+        # Per detection: latent appearance (or ghost blend), pose state, flicker, noise.
+        bases: list[np.ndarray] = []
+        states: list[np.ndarray] = []
+        flickers: list[float] = []
+        noises: list[np.ndarray] = []
         for f in range(cfg.duration_frames):
             walkers = [w for w in walkers if w.end_frame > f]
             n_new = rng.poisson(cfg.entry_rate)
@@ -272,47 +308,35 @@ def simulate_stream(world: SyntheticWorld) -> DetectionTable:
                 )
 
             # Observation source per walker; a crossing event swaps two.
-            source = {id(w): w.identity for w in walkers}
+            source = [w.identity for w in walkers]
             if len(walkers) >= 2 and rng.random() < cfg.crossing_prob:
                 i, j = rng.choice(len(walkers), size=2, replace=False)
-                wi, wj = walkers[int(i)], walkers[int(j)]
-                source[id(wi)], source[id(wj)] = source[id(wj)], source[id(wi)]
+                source[i], source[j] = source[j], source[i]
 
-            for w in walkers:
+            for w, src in zip(walkers, source):
                 # The pose walk advances every frame, observed or not.
                 w.pose_state = rho * w.pose_state + innov * (
                     pose_scale * rng.standard_normal(cfg.pose_dim)
                 )
                 if rng.random() < cfg.dropout_prob:
                     continue
-                pose = world.pose_basis @ w.pose_state
-                flicker = cfg.flicker_sigma * rng.standard_normal()
-                obs = (
-                    cam.transform @ (apps[source[id(w)]] + pose)
-                    + cam.bias
-                    + flicker * bright_dir
-                    + cam.noise_sigma * rng.standard_normal(cfg.d_obs)
-                )
-                rows.append((f, cam.camera_id, w.identity, 0, obs))
+                rows.append((f, cam.camera_id, w.identity, 0))
+                bases.append(apps[src])
+                states.append(w.pose_state)
+                flickers.append(cfg.flicker_sigma * rng.standard_normal())
+                noises.append(rng.standard_normal(cfg.d_obs))
             if ghost is not None:
                 wgt = ghost.weight
-                blend = (
+                label = ghost.a.identity if wgt >= 0.5 else ghost.b.identity
+                rows.append((f, cam.camera_id, label, 1))
+                bases.append(
                     wgt * apps[ghost.a.identity]
                     + (1.0 - wgt) * apps[ghost.b.identity]
                     + ghost.offset
                 )
-                pose_mix = world.pose_basis @ (
-                    wgt * ghost.a.pose_state + (1.0 - wgt) * ghost.b.pose_state
-                )
-                flicker = cfg.flicker_sigma * rng.standard_normal()
-                obs = (
-                    cam.transform @ (blend + pose_mix)
-                    + cam.bias
-                    + flicker * bright_dir
-                    + cam.noise_sigma * rng.standard_normal(cfg.d_obs)
-                )
-                label = ghost.a.identity if wgt >= 0.5 else ghost.b.identity
-                rows.append((f, cam.camera_id, label, 1, obs))
+                states.append(wgt * ghost.a.pose_state + (1.0 - wgt) * ghost.b.pose_state)
+                flickers.append(cfg.flicker_sigma * rng.standard_normal())
+                noises.append(rng.standard_normal(cfg.d_obs))
                 ghost.weight = float(
                     np.clip(
                         wgt + _GHOST_W_DRIFT * rng.standard_normal(),
@@ -321,19 +345,23 @@ def simulate_stream(world: SyntheticWorld) -> DetectionTable:
                     )
                 )
                 ghost.frames_left -= 1
+        if bases:
+            obs_parts.append(_observe(world, cam, bases, states, flickers, noises))
 
-    frame, camera_id, gt_id, ghost, obs = zip(*rows) if rows else ((),) * 5
+    frame, camera_id, gt_id, ghost = zip(*rows) if rows else ((),) * 4
     return DetectionTable(
         det_id=np.arange(len(rows)),
         frame=frame,
         camera_id=camera_id,
         gt_id=gt_id,
-        observations=np.stack(obs) if rows else np.zeros((0, cfg.d_obs)),
+        observations=np.concatenate(obs_parts) if obs_parts else np.zeros((0, cfg.d_obs)),
         ghost=ghost,
     )
 
 
-def augment_batch(x: np.ndarray, rng: np.random.Generator, strength: float) -> np.ndarray:
+def augment_batch(
+    x: np.ndarray, rng: np.random.Generator, strength: float, workspace: np.ndarray | None = None
+) -> np.ndarray:
     """Stochastic observation-space augmentation, applied row-wise.
 
     Composes per-coordinate Gaussian jitter, a random brightness shift along
@@ -341,6 +369,11 @@ def augment_batch(x: np.ndarray, rng: np.random.Generator, strength: float) -> n
     dropout.  Every component scales with ``strength`` and strength 0 is the
     identity.  The brightness and gain components span the photometric
     family along which cameras typically differ.
+
+    ``workspace`` is a float64 2 x n x d buffer for the jitter (which then
+    accumulates the result) and the dropout mask, so that a training epoch
+    allocates them once; without it they are allocated per call.  The
+    result is a fresh array of ``x``'s dtype.
     """
     if strength < 0:
         raise InvalidInputError("augmentation strength must be >= 0")
@@ -349,14 +382,23 @@ def augment_batch(x: np.ndarray, rng: np.random.Generator, strength: float) -> n
         raise InvalidInputError("observations contain non-finite entries")
     if strength == 0.0:
         return a.copy()
+    if workspace is None:
+        workspace = np.empty((2, *a.shape))
+    elif workspace.shape != (2, *a.shape) or workspace.dtype != np.float64:
+        raise InvalidInputError("augmentation workspace must be a float64 2 x n x d array")
+    out, keep = workspace
     d = a.shape[1]
-    jitter = 0.15 * strength * rng.standard_normal(a.shape)
-    brightness = (
-        1.5 * strength * rng.standard_normal((a.shape[0], 1)) * (1.0 / np.sqrt(d))
-    ) * np.ones((1, d))
+    rng.standard_normal(out=out)
+    out *= 0.15 * strength  # the jitter
+    brightness = 1.5 * strength * rng.standard_normal((a.shape[0], 1)) * (1.0 / np.sqrt(d))
     gain = 1.0 + 0.5 * strength * rng.uniform(-1.0, 1.0, size=(a.shape[0], 1))
-    keep = rng.random(a.shape) >= 0.25 * strength
-    return (gain * (a + jitter + brightness) * keep).astype(a.dtype, copy=False)
+    rng.random(out=keep)
+    np.greater_equal(keep, 0.25 * strength, out=keep)  # 1.0 keeps a coordinate, 0.0 drops it
+    np.add(a, out, out=out)
+    out += brightness
+    np.multiply(gain, out, out=out)
+    out *= keep
+    return out.astype(a.dtype)
 
 
 @dataclass(eq=False)

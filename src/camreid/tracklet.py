@@ -35,13 +35,25 @@ class TrackletSegment:
         return len(self.det_ids)
 
 
-def affinity(feats_a: np.ndarray, feats_b: np.ndarray) -> np.ndarray:
-    """Pairwise similarity of two unit-norm embedding sets (rows x rows)."""
-    a = np.atleast_2d(np.asarray(feats_a))
-    b = np.atleast_2d(np.asarray(feats_b))
-    if a.shape[-1] != b.shape[-1]:
-        raise InvalidInputError("embedding dims disagree")
-    return a @ b.T
+def _mutual_best(aff: np.ndarray, min_affinity: float | None) -> np.ndarray:
+    """Each row's mutual-match column in a stack of g affinity blocks, or -1.
+
+    ``aff`` is g x r x c.  A row matches the column of its maximum when no
+    other cell of its row or of that column equals that maximum, the row is
+    the column's maximum, and (with a floor) the cell is not below
+    ``min_affinity``.  Only comparisons are made, so a block's result does
+    not depend on which other blocks share the stack.
+    """
+    row_best = aff.argmax(axis=2)
+    col_best = aff.argmax(axis=1)
+    row_tied = (aff == aff.max(axis=2, keepdims=True)).sum(axis=2) > 1
+    col_tied = (aff == aff.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    ok = ~row_tied
+    ok &= ~np.take_along_axis(col_tied, row_best, axis=1)
+    ok &= np.take_along_axis(col_best, row_best, axis=1) == np.arange(aff.shape[1])
+    if min_affinity is not None:
+        ok &= ~(np.take_along_axis(aff, row_best[..., None], axis=2)[..., 0] < min_affinity)
+    return np.where(ok, row_best, -1)
 
 
 def mutual_matches(aff: np.ndarray, min_affinity: float | None = None) -> list[Match]:
@@ -53,21 +65,13 @@ def mutual_matches(aff: np.ndarray, min_affinity: float | None = None) -> list[M
     a = np.atleast_2d(np.asarray(aff))
     if a.shape[0] == 0 or a.shape[1] == 0:
         return []
-    row_best = a.argmax(axis=1)
-    col_best = a.argmax(axis=0)
-    row_tied = (a == a.max(axis=1, keepdims=True)).sum(axis=1) > 1
-    col_tied = (a == a.max(axis=0, keepdims=True)).sum(axis=0) > 1
-    out = []
-    for i in range(a.shape[0]):
-        j = int(row_best[i])
-        if row_tied[i] or col_tied[j]:
-            continue
-        if int(col_best[j]) != i:
-            continue
-        if min_affinity is not None and a[i, j] < min_affinity:
-            continue
-        out.append(Match(row=i, col=j))
-    return out
+    best = _mutual_best(a[None], min_affinity)[0].tolist()
+    return [Match(row=i, col=j) for i, j in enumerate(best) if j >= 0]
+
+
+# Bytes of gathered embeddings and affinities that one stacked block pass
+# may hold at once.
+_CHUNK_BYTES = 4 << 20
 
 
 def assemble_segments(
@@ -80,59 +84,72 @@ def assemble_segments(
     ``embeddings`` rows align with ``table`` rows.  Every detection lands in
     exactly one segment.  Segment ids are assigned after all cameras finish,
     ordered by (camera_id, first frame, first det_id).
+
+    The rows of one camera-frame form a block.  Pairs of adjacent-frame
+    blocks are grouped by their shape and scored a group at a time with one
+    stacked matmul, which gives each pair the BLAS call that ``a @ b.T``
+    gives it alone, so affinities, ties and matches are those of the pair.
     """
     emb = np.asarray(embeddings)
     if emb.ndim != 2 or emb.shape[0] != len(table):
         raise InvalidInputError("embeddings do not align with the detection table")
 
-    raw: list[tuple[int, int, list[int]]] = []  # (camera, first_frame, rows)
-    for cam in np.unique(table.camera_id):
-        cam_rows = np.flatnonzero(table.camera_id == cam)
-        by_frame: dict[int, list[int]] = {}
-        for r in cam_rows:
-            by_frame.setdefault(int(table.frame[r]), []).append(int(r))
-        open_segs: dict[int, list[int]] = {}  # position in prev frame -> row list
-        prev_frame = None
-        prev_rows: list[int] = []
-        for f in sorted(by_frame):
-            rows_f = by_frame[f]
-            if prev_frame is not None and f == prev_frame + 1 and prev_rows:
-                aff = affinity(emb[prev_rows], emb[rows_f])
-                matched_cols = {}
-                for m in mutual_matches(aff, min_affinity=min_affinity):
-                    matched_cols[m.col] = m.row
-                next_open: dict[int, list[int]] = {}
-                for col, row_pos in matched_cols.items():
-                    seg = open_segs[row_pos]
-                    seg.append(rows_f[col])
-                    next_open[col] = seg
-                for col, r in enumerate(rows_f):
-                    if col not in matched_cols:
-                        seg = [r]
-                        raw.append((int(cam), f, seg))
-                        next_open[col] = seg
-                open_segs = next_open
-            else:
-                open_segs = {}
-                for col, r in enumerate(rows_f):
-                    seg = [r]
-                    raw.append((int(cam), f, seg))
-                    open_segs[col] = seg
-            prev_frame = f
-            prev_rows = rows_f
+    # Positions 0..n-1 walk the rows in (camera, frame, row) order.
+    order = np.lexsort((table.frame, table.camera_id))
+    cam = table.camera_id[order]
+    frame = table.frame[order]
+    n = len(order)
+    new_block = np.ones(n, dtype=bool)
+    new_block[1:] = (cam[1:] != cam[:-1]) | (frame[1:] != frame[:-1])
+    starts = np.flatnonzero(new_block)
+    sizes = np.diff(starts, append=n)
+    # Block k links to block k+1 when that is the same camera's next frame.
+    linked = np.flatnonzero(
+        (cam[starts[1:]] == cam[starts[:-1]]) & (frame[starts[1:]] == frame[starts[:-1]] + 1)
+    )
 
-    raw.sort(key=lambda item: (item[0], item[1], table.det_id[item[2][0]]))
-    segments = []
-    for seg_id, (cam, first_frame, rows) in enumerate(raw):
-        segments.append(
-            TrackletSegment(
-                segment_id=seg_id,
-                camera_id=cam,
-                det_ids=tuple(int(table.det_id[r]) for r in rows),
-                first_frame=first_frame,
-            )
-        )
-    return segments
+    nxt = np.full(n, -1, dtype=np.int64)  # position -> matched position one frame on
+    r_of, c_of = sizes[linked], sizes[linked + 1]
+    for r, c in sorted(set(zip(r_of.tolist(), c_of.tolist()))):
+        group = linked[(r_of == r) & (c_of == c)]
+        per_pair = (r + c) * emb.shape[1] * emb.itemsize + r * c * (emb.itemsize + 1)
+        step = max(_CHUNK_BYTES // max(per_pair, 1), 1)
+        for lo in range(0, len(group), step):
+            blocks = group[lo : lo + step]
+            src = starts[blocks][:, None] + np.arange(r)
+            dst = starts[blocks + 1][:, None]
+            aff = np.matmul(emb[order[src]], emb[order[dst + np.arange(c)]].transpose(0, 2, 1))
+            best = _mutual_best(aff, min_affinity)
+            hit = best >= 0
+            nxt[src[hit]] = (dst + best)[hit]
+
+    # head[p] starts as p's predecessor in its chain (p itself at a chain's
+    # head); each jump halves the distance left, until every position points
+    # at its chain's head.
+    linked_from = np.flatnonzero(nxt >= 0)
+    head = np.arange(n)
+    head[nxt[linked_from]] = linked_from
+    while True:
+        hop = head[head]
+        if np.array_equal(hop, head):
+            break
+        head = hop
+    heads = np.flatnonzero(head == np.arange(n))
+    det_id = table.det_id[order]
+    # lexsort is stable, so segments that tie on all three keep position order.
+    heads = heads[np.lexsort((det_id[heads], frame[heads], cam[heads]))]
+    seg_of = np.empty(n, dtype=np.int64)
+    seg_of[heads] = np.arange(len(heads))
+    seg_of = seg_of[head]
+    # A chain only moves forward in frame, so position order is chain order.
+    members = det_id[np.argsort(seg_of, kind="stable")].tolist()
+    lengths = np.bincount(seg_of, minlength=len(heads))
+    ends = np.cumsum(lengths)
+    bounds = zip((ends - lengths).tolist(), ends.tolist())
+    return [
+        TrackletSegment(segment_id=i, camera_id=c, det_ids=tuple(members[lo:hi]), first_frame=f)
+        for i, (c, f, (lo, hi)) in enumerate(zip(cam[heads].tolist(), frame[heads].tolist(), bounds))
+    ]
 
 
 def filter_segments(segments: Sequence[TrackletSegment], min_len: int) -> list[TrackletSegment]:

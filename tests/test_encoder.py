@@ -109,6 +109,14 @@ def test_forward_and_backward_match_plain_formulas():
     for got, want in zip(grads.weights + grads.biases, want_w + want_b):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    # Written into caller buffers, the gradients are the same bits.
+    out = enc.EncoderGrads(
+        weights=[np.full_like(w, np.nan) for w in params.weights],
+        biases=[np.full_like(b, np.nan) for b in params.biases],
+    )
+    assert enc.backward(params, cache, g, out=out) is out
+    for got, want in zip(out.weights + out.biases, want_w + want_b):
+        assert np.array_equal(got, want)
 
 
 def test_backward_rejects_mismatched_gradient():
@@ -132,6 +140,40 @@ def test_sgd_step_hand_arithmetic():
     assert params.weights[0][0, 0] == pytest.approx(0.799, abs=1e-12)
     enc.sgd_step(params, grads, optim, lr=0.1)
     assert params.weights[0][0, 0] == pytest.approx(0.417301, abs=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_step_and_momentum_update_match_plain_formulas(dtype):
+    # The in-place updates must round every product and sum as the plain
+    # expressions do, so a run's weights stay bit-identical.
+    pair = enc.init_encoder((64, 256, 128), seed=3, dtype=dtype, momentum=0.99)
+    optim = enc.OptimState.for_params(pair.query, momentum=0.9, weight_decay=1e-4)
+    rng = np.random.default_rng(5)
+    ref = [p.copy() for p in pair.query.weights + pair.query.biases]
+    ref_v = [np.zeros_like(p) for p in ref]
+    ref_k = [p.copy() for p in pair.key.weights + pair.key.biases]
+    for step in range(3):
+        grads = enc.EncoderGrads(
+            weights=[rng.standard_normal(w.shape).astype(dtype) for w in pair.query.weights],
+            biases=[rng.standard_normal(b.shape).astype(dtype) for b in pair.query.biases],
+        )
+        lr = 0.03 / (step + 1)
+        for p, g, v in zip(ref, grads.weights + grads.biases, ref_v):
+            v *= optim.momentum
+            v += g + optim.weight_decay * p
+            p -= dtype(lr) * v
+        m, one_minus = dtype(pair.momentum), dtype(1.0 - pair.momentum)
+        for k, q in zip(ref_k, ref):
+            k *= m
+            k += one_minus * q
+        enc.sgd_step(pair.query, grads, optim, lr)
+        enc.momentum_update(pair, optim.scratch if step % 2 else None)
+    got = pair.query.weights + pair.query.biases
+    for a, b in zip(got + optim.velocity_w + optim.velocity_b, ref + ref_v):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    for a, b in zip(pair.key.weights + pair.key.biases, ref_k):
+        assert np.array_equal(a, b)
 
 
 def test_sgd_step_rejects_nonfinite_gradient():

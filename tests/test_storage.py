@@ -153,6 +153,23 @@ def test_records_missing_file_raises(tmp_path):
         storage.read_records(tmp_path / "nope.jsonl")
 
 
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"gt_id": [-1, -1, 4], "det_id": [0, -7, 2**40], "frame": [3, 0, -2]},
+        {"det_id": np.array([5, -3, 0], dtype=np.int64)},
+        {"det_id": np.zeros(0, dtype=np.int64), "frame": []},
+    ],
+    ids=["negative-ints", "one-key", "no-rows"],
+)
+def test_int_records_match_write_records_bytes(tmp_path, columns):
+    names = list(columns)
+    rows = zip(*(np.asarray(columns[k]).tolist() for k in names))
+    storage.write_records(tmp_path / "a.jsonl", (dict(zip(names, r)) for r in rows))
+    storage.write_int_records(tmp_path / "b.jsonl", columns)
+    assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+
+
 # ---------------------------------------------------------------- digests
 
 

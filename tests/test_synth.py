@@ -30,6 +30,98 @@ def test_different_seeds_differ():
     assert len(a) != len(b) or not np.array_equal(a.observations, b.observations)
 
 
+def _per_detection_stream(world):
+    """The simulator as one loop that computes each observation when drawn."""
+    cfg = world.config
+    apps = np.stack([ident.appearance for ident in world.identities])
+    pose_scale = cfg.pose_sigma / np.sqrt(cfg.pose_dim)
+    rho = cfg.pose_persistence
+    innov = np.sqrt(1.0 - rho * rho)
+    bright_dir = np.ones(cfg.d_obs) / np.sqrt(cfg.d_obs)
+    rows = []
+    for cam in world.cameras:
+        rng = synth._rng(world.seed, synth._SALT_STREAM, cam.camera_id)
+        walkers, ghost = [], None
+        for f in range(cfg.duration_frames):
+            walkers = [w for w in walkers if w.end_frame > f]
+            for _ in range(rng.poisson(cfg.entry_rate)):
+                ident = int(rng.integers(len(apps)))
+                dwell = 1 + int(rng.poisson(max(cfg.dwell_mean - 1.0, 0.0)))
+                state = pose_scale * rng.standard_normal(cfg.pose_dim)
+                walkers.append(synth._Walker(identity=ident, end_frame=f + dwell, pose_state=state))
+            if ghost is not None and (
+                ghost.frames_left <= 0 or ghost.a not in walkers or ghost.b not in walkers
+            ):
+                ghost = None
+            if ghost is None and len(walkers) >= 2 and rng.random() < cfg.ghost_rate:
+                i, j = rng.choice(len(walkers), size=2, replace=False)
+                shift = rng.standard_normal(cfg.d_latent)
+                shift *= synth._GHOST_OFFSET_SCALE / np.linalg.norm(shift)
+                ghost = synth._Ghost(
+                    a=walkers[int(i)],
+                    b=walkers[int(j)],
+                    weight=float(rng.uniform(synth._GHOST_W_LO, synth._GHOST_W_HI)),
+                    offset=shift,
+                    frames_left=1 + int(rng.poisson(synth._GHOST_EXTRA_FRAMES)),
+                )
+            source = {id(w): w.identity for w in walkers}
+            if len(walkers) >= 2 and rng.random() < cfg.crossing_prob:
+                i, j = rng.choice(len(walkers), size=2, replace=False)
+                wi, wj = walkers[int(i)], walkers[int(j)]
+                source[id(wi)], source[id(wj)] = source[id(wj)], source[id(wi)]
+            for w in walkers:
+                w.pose_state = rho * w.pose_state + innov * (
+                    pose_scale * rng.standard_normal(cfg.pose_dim)
+                )
+                if rng.random() < cfg.dropout_prob:
+                    continue
+                pose = world.pose_basis @ w.pose_state
+                flicker = cfg.flicker_sigma * rng.standard_normal()
+                obs = (
+                    cam.transform @ (apps[source[id(w)]] + pose)
+                    + cam.bias
+                    + flicker * bright_dir
+                    + cam.noise_sigma * rng.standard_normal(cfg.d_obs)
+                )
+                rows.append((f, cam.camera_id, w.identity, 0, obs))
+            if ghost is not None:
+                wgt = ghost.weight
+                blend = wgt * apps[ghost.a.identity] + (1.0 - wgt) * apps[ghost.b.identity] + ghost.offset
+                pose_mix = world.pose_basis @ (wgt * ghost.a.pose_state + (1.0 - wgt) * ghost.b.pose_state)
+                flicker = cfg.flicker_sigma * rng.standard_normal()
+                obs = (
+                    cam.transform @ (blend + pose_mix)
+                    + cam.bias
+                    + flicker * bright_dir
+                    + cam.noise_sigma * rng.standard_normal(cfg.d_obs)
+                )
+                rows.append((f, cam.camera_id, ghost.a.identity if wgt >= 0.5 else ghost.b.identity, 1, obs))
+                ghost.weight = float(
+                    np.clip(
+                        wgt + synth._GHOST_W_DRIFT * rng.standard_normal(),
+                        synth._GHOST_W_CLIP_LO,
+                        synth._GHOST_W_CLIP_HI,
+                    )
+                )
+                ghost.frames_left -= 1
+    frame, camera_id, gt_id, ghost_flag, obs = zip(*rows)
+    return frame, camera_id, gt_id, ghost_flag, np.stack(obs)
+
+
+def test_simulate_stream_matches_per_detection_reference():
+    # Crossings and ghosts on, so every branch of the frame loop draws.
+    cfg = dataclasses.replace(SMALL, crossing_prob=0.3, ghost_rate=0.3, entry_rate=0.3)
+    world = _world(seed=4, config=cfg, n_identities=30)
+    table = synth.simulate_stream(world)
+    frame, camera_id, gt_id, ghost, obs = _per_detection_stream(world)
+    assert table.ghost.sum() > 0
+    assert np.array_equal(table.det_id, np.arange(len(frame)))
+    for name, want in (("frame", frame), ("camera_id", camera_id), ("gt_id", gt_id), ("ghost", ghost)):
+        assert np.array_equal(getattr(table, name), want), name
+    assert table.observations.dtype == obs.dtype
+    assert table.observations.tobytes() == obs.tobytes()
+
+
 def test_world_shapes_and_normalization():
     world = _world()
     assert len(world.identities) == 20
@@ -140,6 +232,28 @@ def test_augment_preserves_shape_and_dtype():
     assert out.dtype == np.float32
     assert np.all(np.isfinite(out))
     assert not np.array_equal(out, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_augment_batch_matches_plain_formula(dtype):
+    # The buffered version must draw and round exactly as the plain
+    # expression it replaced, with or without a caller's workspace.
+    x = np.random.default_rng(3).standard_normal((5, 7)).astype(dtype)
+    strength = 0.6
+    rng = np.random.default_rng(9)
+    jitter = 0.15 * strength * rng.standard_normal(x.shape)
+    brightness = (
+        1.5 * strength * rng.standard_normal((x.shape[0], 1)) * (1.0 / np.sqrt(x.shape[1]))
+    ) * np.ones((1, x.shape[1]))
+    gain = 1.0 + 0.5 * strength * rng.uniform(-1.0, 1.0, size=(x.shape[0], 1))
+    keep = rng.random(x.shape) >= 0.25 * strength
+    want = (gain * (x + jitter + brightness) * keep).astype(dtype)
+    for workspace in (None, np.full((2, *x.shape), np.nan)):
+        got = synth.augment_batch(x, np.random.default_rng(9), strength, workspace)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(InvalidInputError):
+        synth.augment_batch(x, rng, strength, np.empty((2, 4, 7)))
 
 
 def test_augment_validation():

@@ -153,6 +153,90 @@ def test_assemble_segments_alignment_validation():
         trk.assemble_segments(table, np.zeros((3, 3)))
 
 
+def _pairwise_segments(table, emb, min_affinity):
+    """Mining as one `a @ b.T` and one per-row mutual test per frame pair."""
+
+    def matches(a):
+        row_best = a.argmax(axis=1)
+        col_best = a.argmax(axis=0)
+        row_tied = (a == a.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        col_tied = (a == a.max(axis=0, keepdims=True)).sum(axis=0) > 1
+        out = {}
+        for i in range(a.shape[0]):
+            j = int(row_best[i])
+            if row_tied[i] or col_tied[j] or int(col_best[j]) != i:
+                continue
+            if min_affinity is not None and a[i, j] < min_affinity:
+                continue
+            out[j] = i
+        return out
+
+    raw = []
+    for cam in np.unique(table.camera_id):
+        by_frame = {}
+        for r in np.flatnonzero(table.camera_id == cam):
+            by_frame.setdefault(int(table.frame[r]), []).append(int(r))
+        open_segs, prev_frame, prev_rows = {}, None, []
+        for f in sorted(by_frame):
+            rows_f = by_frame[f]
+            matched = {}
+            if prev_frame is not None and f == prev_frame + 1:
+                matched = matches(emb[prev_rows] @ emb[rows_f].T)
+            next_open = {}
+            for col, r in enumerate(rows_f):
+                if col in matched:
+                    seg = open_segs[matched[col]]
+                    seg.append(r)
+                else:
+                    seg = [r]
+                    raw.append((int(cam), f, seg))
+                next_open[col] = seg
+            open_segs, prev_frame, prev_rows = next_open, f, rows_f
+    raw.sort(key=lambda item: (item[0], item[1], table.det_id[item[2][0]]))
+    return [
+        trk.TrackletSegment(i, cam, tuple(int(table.det_id[r]) for r in rows), f)
+        for i, (cam, f, rows) in enumerate(raw)
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("min_affinity", [None, 0.55])
+def test_assemble_segments_matches_pairwise_reference(dtype, min_affinity):
+    rng = np.random.default_rng(11)
+    frames, cams, ids = [], [], []
+    for cam in range(3):
+        frame = 0
+        for _ in range(40):
+            frame += int(rng.choice([1, 1, 1, 2, 4]))  # gaps break chains
+            k = int(rng.choice([1, 1, 2, 3, 5]))  # many single-detection frames
+            frames += [frame] * k
+            cams += [cam] * k
+            ids += rng.choice(6, size=k, replace=False).tolist()
+    n = len(frames)
+    protos = rng.standard_normal((6, 8))
+    emb = protos[ids] + 0.4 * rng.standard_normal((n, 8))
+    # Exact duplicates inside a frame and across adjacent frames make ties.
+    for r in range(1, n):
+        if rng.random() < 0.25 and cams[r] == cams[r - 1] and frames[r] - frames[r - 1] <= 1:
+            emb[r] = emb[r - 1]
+    emb = (emb / np.linalg.norm(emb, axis=1, keepdims=True)).astype(dtype)
+    # Rows out of (camera, frame) order and det_ids out of row order.
+    perm = rng.permutation(n)
+    table = DetectionTable(
+        det_id=rng.permutation(10 * n)[:n],
+        frame=np.asarray(frames)[perm],
+        camera_id=np.asarray(cams)[perm],
+        gt_id=np.zeros(n, dtype=np.int64),
+        observations=np.zeros((n, 1)),
+    )
+    emb = emb[perm]
+    want = _pairwise_segments(table, emb, min_affinity)
+    assert trk.assemble_segments(table, emb, min_affinity=min_affinity) == want
+    assert any(len(s) >= 3 for s in want)
+    empty = table.select(np.zeros(0, dtype=np.int64))
+    assert trk.assemble_segments(empty, emb[:0], min_affinity=min_affinity) == []
+
+
 def test_filter_segments_threshold():
     segs = [
         trk.TrackletSegment(0, 0, (1,), 0),
@@ -200,8 +284,3 @@ def test_segments_to_rows_maps_det_ids():
     rows = trk.segments_to_rows(segs, {10: 0, 20: 1, 30: 2})
     assert len(rows) == 1
     assert rows[0].tolist() == [2, 0]
-
-
-def test_affinity_dim_mismatch():
-    with pytest.raises(InvalidInputError):
-        trk.affinity(np.zeros((2, 3)), np.zeros((2, 4)))
