@@ -104,36 +104,69 @@ class MemoryBank:
         self._size = min(self._size + k.shape[0], self.capacity)
 
 
-def _workspace(pair: enc.EncoderPair, bank: MemoryBank, batch_size: int) -> np.ndarray:
-    """One B x (K+1) logits buffer, reused by every step of an epoch."""
-    dtype = np.result_type(pair.query.dtype, bank.negatives().dtype)
-    return np.empty((batch_size, bank.capacity + 1), dtype=dtype)
+@dataclass
+class StepWorkspace:
+    """Every batch-sized buffer of a training step, allocated once per epoch.
 
+    A fresh array of 128 KiB or more is mapped and faulted in anew by
+    malloc, so a step that made its B x (K+1) logits, activations and
+    gradients afresh would pay for the page faults on every step, more than
+    for the arithmetic at the default shapes.
+    """
 
-def _augment_workspace(batch_size: int, dim: int) -> np.ndarray:
-    """Float64 buffers for ``augment_batch``, reused by every view of an epoch."""
-    return np.empty((2, batch_size, dim))
+    logits: np.ndarray  # B x (K+1), for `_batch_info_nce`
+    augment: np.ndarray  # float64 2 x B x d, for `synth.augment_batch`
+    query: enc.ForwardCache
+    key: enc.ForwardCache
+    grad_q: np.ndarray  # B x D
+    scratch: np.ndarray  # B x D, for `_batch_info_nce`
+
+    @staticmethod
+    def for_epoch(pair: enc.EncoderPair, bank: MemoryBank, batch_size: int, obs_dim: int) -> "StepWorkspace":
+        dtype = np.result_type(pair.query.dtype, bank.negatives().dtype)
+        return StepWorkspace(
+            logits=np.empty((batch_size, bank.capacity + 1), dtype=dtype),
+            augment=np.empty((2, batch_size, obs_dim)),
+            query=enc.ForwardCache.for_rows(pair.query, batch_size),
+            key=enc.ForwardCache.for_rows(pair.key, batch_size),
+            grad_q=np.empty((batch_size, bank.dim), dtype=dtype),
+            scratch=np.empty((batch_size, bank.dim), dtype=pair.query.dtype),
+        )
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.logits, self.augment, self.grad_q, self.scratch)
+        return sum(a.nbytes for a in arrays) + self.query.nbytes + self.key.nbytes
 
 
 def _batch_info_nce(
-    q: np.ndarray, k_pos: np.ndarray, negatives: np.ndarray, temperature: float, workspace: np.ndarray
+    q: np.ndarray,
+    k_pos: np.ndarray,
+    negatives: np.ndarray,
+    temperature: float,
+    logits: np.ndarray,
+    grad_q: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ):
     """Mean loss over the batch and its gradient w.r.t. q.
 
     The B x (K+1) logits are built and turned into softmax probabilities
-    inside ``workspace`` (at least B rows and K+1 columns), positive first;
-    the probabilities are left there.  A fresh buffer of that size would be
-    mapped and faulted in anew every step, which costs more than the
-    arithmetic.
+    inside ``logits`` (at least B rows and K+1 columns), positive first; the
+    probabilities are left there.  ``grad_q`` and ``scratch`` (at least B
+    rows of q's width, allocated when not given) take the gradient and the
+    products of q and k+ rows; the gradient is returned as B rows of
+    ``grad_q``.
     """
     if temperature <= 0:
         raise InvalidInputError("temperature must be > 0")
     if negatives.shape[0] == 0:
         raise InvalidInputError("negative bank is empty")
     b = q.shape[0]
-    scratch = np.multiply(q, k_pos)
+    scratch = np.empty(q.shape, dtype=np.result_type(q, k_pos)) if scratch is None else scratch[:b]
+    grad_q = np.empty(q.shape, dtype=np.result_type(logits, negatives)) if grad_q is None else grad_q[:b]
+    np.multiply(q, k_pos, out=scratch)
     l_pos = np.sum(scratch, axis=1, keepdims=True) / temperature
-    logits = workspace[:b, : negatives.shape[0] + 1]
+    logits = logits[:b, : negatives.shape[0] + 1]
     logits[:, :1] = l_pos
     np.matmul(q, negatives.T, out=logits[:, 1:])
     logits[:, 1:] /= temperature
@@ -144,7 +177,7 @@ def _batch_info_nce(
     losses = -(l_pos - m) + np.log(z)
     p /= z
     # d(mean loss)/dq_i = ((p_pos - 1) k+_i + sum_j p_ij k-_j) / (t B)
-    grad_q = p[:, 1:] @ negatives
+    np.matmul(p[:, 1:], negatives, out=grad_q)
     np.multiply(p[:, :1] - 1.0, k_pos, out=scratch)
     grad_q += scratch
     grad_q /= temperature * b
@@ -173,14 +206,19 @@ def info_nce(q: np.ndarray, k_pos: np.ndarray, bank: MemoryBank, temperature: fl
 
 
 def _run_batch(pair, bank, optim, obs_a, obs_b, temperature, lr, workspace):
-    """One training step: embed two views, take the loss, update all parties."""
-    cache = enc.forward_cached(pair.query, obs_a)
-    k = enc.forward(pair.key, obs_b)
+    """One training step: embed two views, take the loss, update all parties.
+
+    Every batch-sized array the step makes lives in ``workspace``.
+    """
+    cache = enc.forward_cached(pair.query, obs_a, workspace.query)
+    k = enc.forward(pair.key, obs_b, workspace.key)
     if len(bank) == 0:
         # Nothing to contrast against yet; prime the bank and move on.
         bank.enqueue(k)
         return None
-    loss, grad_q = _batch_info_nce(cache.out, k, bank.negatives(), temperature, workspace)
+    loss, grad_q = _batch_info_nce(
+        cache.out, k, bank.negatives(), temperature, workspace.logits, workspace.grad_q, workspace.scratch
+    )
     if not np.isfinite(loss):
         raise TrainingDivergenceError(f"non-finite contrastive loss {loss}")
     grads = enc.backward(pair.query, cache, grad_q, out=optim.grads)
@@ -217,14 +255,13 @@ def cid_epoch(
     t0 = time.perf_counter()
     step_lr = config.base_lr if lr is None else lr
     perm = rng.permutation(x.shape[0])
-    workspace = _workspace(pair, bank, config.batch_size)
-    aug = _augment_workspace(config.batch_size, x.shape[1])
+    workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
     losses = []
     for start in range(0, x.shape[0] - config.batch_size + 1, config.batch_size):
         idx = perm[start : start + config.batch_size]
         obs = x[idx]
-        view_a = synth.augment_batch(obs, rng, config.aug_strength, aug)
-        view_b = synth.augment_batch(obs, rng, config.aug_strength, aug)
+        view_a = synth.augment_batch(obs, rng, config.aug_strength, workspace.augment)
+        view_b = synth.augment_batch(obs, rng, config.aug_strength, workspace.augment)
         loss = _run_batch(
             pair, bank, optim, view_a, view_b, config.temperature, step_lr, workspace
         )
@@ -298,14 +335,13 @@ def tsd_epoch(
     probs = lengths / lengths.sum()
     n_batches = max(int(lengths.sum()) // config.batch_size, 1)
     step_lr = enc.cosine_lr(epoch, config.epochs_tsd, config.base_lr)
-    workspace = _workspace(pair, bank, config.batch_size)
-    aug = _augment_workspace(config.batch_size, x.shape[1])
+    workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
     losses = []
     for _ in range(n_batches):
         seg_idx = rng.choice(len(usable), size=config.batch_size, p=probs)
         anchors, positives = sample_tsd_pairs(rows, starts, lengths, seg_idx, rng)
-        view_a = synth.augment_batch(x[anchors], rng, config.aug_strength, aug)
-        view_b = synth.augment_batch(x[positives], rng, config.aug_strength, aug)
+        view_a = synth.augment_batch(x[anchors], rng, config.aug_strength, workspace.augment)
+        view_b = synth.augment_batch(x[positives], rng, config.aug_strength, workspace.augment)
         loss = _run_batch(
             pair, bank, optim, view_a, view_b, config.temperature, step_lr, workspace
         )

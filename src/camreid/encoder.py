@@ -113,42 +113,95 @@ def init_encoder(dims, seed: int, dtype=np.float32, momentum: float = 0.999) -> 
 
 @dataclass
 class ForwardCache:
-    """What `backward` needs from one forward pass."""
+    """Buffers for a forward pass of up to ``len(z)`` rows and its `backward`.
 
-    inputs: list[np.ndarray]  # the input of each layer
-    out: np.ndarray  # unit-norm embeddings
-    norms: np.ndarray  # row norms of the last layer's output, floored
+    Built once by `for_rows` and filled by every pass that is given it, so a
+    training epoch or an embedding loop maps its activations once instead of
+    once per batch.  After a pass of n rows, ``inputs`` and ``out`` describe
+    that pass: ``inputs[0]`` is the batch itself and ``out`` holds its unit
+    rows, in the cache's own buffer or in the slice the caller gave.  Each
+    buffer is filled by the call that made a fresh array before, with
+    ``out=``, so the results are the same bits.
+    """
+
+    hidden: list[np.ndarray]  # each hidden layer's rectified output
+    z: np.ndarray  # the last layer's output, before normalization
+    norms: np.ndarray  # row norms of z, floored
+    unit: np.ndarray  # unit-norm embeddings, unless the caller gives ``out``
+    deltas: list[np.ndarray]  # `backward`'s gradient w.r.t. each layer's output
+    inputs: list[np.ndarray] = field(default_factory=list)  # the input of each layer
+    out: np.ndarray | None = None
+
+    @staticmethod
+    def for_rows(params: EncoderParams, rows: int) -> "ForwardCache":
+        dims, dtype = params.dims, params.dtype
+        return ForwardCache(
+            hidden=[np.empty((rows, d), dtype=dtype) for d in dims[1:-1]],
+            z=np.empty((rows, dims[-1]), dtype=dtype),
+            norms=np.empty((rows, 1), dtype=dtype),
+            unit=np.empty((rows, dims[-1]), dtype=dtype),
+            deltas=[np.empty((rows, d), dtype=dtype) for d in dims[1:]],
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (*self.hidden, self.z, self.norms, self.unit, *self.deltas))
 
 
-def forward_cached(params: EncoderParams, batch: np.ndarray) -> ForwardCache:
-    """Embed a batch and keep the layer inputs and norms for `backward`."""
+def forward_cached(
+    params: EncoderParams, batch: np.ndarray, cache: ForwardCache | None = None, out: np.ndarray | None = None
+) -> ForwardCache:
+    """Embed a batch and keep the layer inputs and norms for `backward`.
+
+    The pass fills ``cache`` (one for the batch's rows is made when it is not
+    given) and writes the unit rows into ``out`` when it is given.
+    """
     x = np.asarray(batch)
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
         raise InvalidInputError(
             f"batch shape {x.shape} does not match input dim {params.dims[0]}"
         )
-    if not np.all(np.isfinite(x)):
+    # min and max carry any NaN or infinity, without a temporary the batch's size.
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise InvalidInputError("batch contains non-finite entries")
     x = x.astype(params.dtype, copy=False)
+    n = x.shape[0]
+    if cache is None:
+        cache = ForwardCache.for_rows(params, n)
+    elif len(cache.z) < n or cache.z.shape[1] != params.dims[-1] or cache.z.dtype != params.dtype:
+        raise InvalidInputError(f"forward cache for {len(cache.z)} rows does not fit this batch and encoder")
+    if out is None:
+        out = cache.unit[:n]
+    elif out.shape != (n, params.dims[-1]) or out.dtype != params.dtype:
+        raise InvalidInputError(f"out must be a {params.dtype} array of shape {(n, params.dims[-1])}")
     inputs = [x]
     h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = h @ w
+    for w, b, buf in zip(params.weights[:-1], params.biases[:-1], cache.hidden):
+        h = np.matmul(h, w, out=buf[:n])
         h += b
         np.maximum(h, 0, out=h)
         inputs.append(h)
-    z_out = h @ params.weights[-1]
+    z_out = np.matmul(h, params.weights[-1], out=cache.z[:n])
     z_out += params.biases[-1]
-    out = np.multiply(z_out, z_out)
-    norms = np.sqrt(np.sum(out, axis=1, keepdims=True))
+    np.multiply(z_out, z_out, out=out)
+    norms = np.sum(out, axis=1, keepdims=True, out=cache.norms[:n])
+    np.sqrt(norms, out=norms)
     np.maximum(norms, _NORM_FLOOR, out=norms)
     np.divide(z_out, norms, out=out)
-    return ForwardCache(inputs=inputs, out=out, norms=norms)
+    cache.inputs, cache.out = inputs, out
+    return cache
 
 
-def forward(params: EncoderParams, batch: np.ndarray) -> np.ndarray:
-    """Embed a batch (rows are observations) into unit-norm rows."""
-    return forward_cached(params, batch).out
+def forward(
+    params: EncoderParams, batch: np.ndarray, cache: ForwardCache | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Embed a batch (rows are observations) into unit-norm rows.
+
+    ``cache`` and ``out`` are as for `forward_cached`; the result is ``out``
+    when it is given, and otherwise rows of the cache's buffer, which the
+    next pass through that cache overwrites.
+    """
+    return forward_cached(params, batch, cache, out).out
 
 
 def backward(
@@ -157,19 +210,21 @@ def backward(
     """Analytic parameter gradients for the given upstream embedding gradient.
 
     ``cache`` is the forward pass, by the same parameters, that produced the
-    embeddings.  The normalization layer's Jacobian is applied first: for
+    embeddings; its ``deltas`` take the gradients w.r.t. each layer's
+    output.  The normalization layer's Jacobian is applied first: for
     y = z/|z|, dz = (g - y (y.g)) / |z|.  The gradients are written into
     ``out`` when it is given, and returned.
     """
     y = cache.out
+    n = len(y)
     g = np.asarray(grad_embeddings, dtype=params.dtype)
     if g.shape != y.shape:
         raise InvalidInputError("grad_embeddings shape does not match embeddings")
-    dz = np.multiply(y, g)
+    dz = np.multiply(y, g, out=cache.deltas[-1][:n])
     inner = np.sum(dz, axis=1, keepdims=True)
     np.multiply(y, inner, out=dz)
     np.subtract(g, dz, out=dz)
-    dz /= cache.norms
+    dz /= cache.norms[:n]
 
     if out is None:
         out = _buffers_like(params)
@@ -178,7 +233,7 @@ def backward(
         np.matmul(h_in.T, dz, out=out.weights[i])
         np.sum(dz, axis=0, out=out.biases[i])
         if i > 0:
-            dh = dz @ params.weights[i].T
+            dh = np.matmul(dz, params.weights[i].T, out=cache.deltas[i - 1][:n])
             dh[h_in <= 0] = 0
             dz = dh
     return out

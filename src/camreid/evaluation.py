@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError
 from .synth import DetectionTable
 
-_SCREEN_BLOCK_BYTES = 4 << 20  # float64 screen rows held at once
+_SCREEN_BLOCK_BYTES = 4 << 20  # float64 screen rows held at once, in one reused buffer
 _U64 = 2.0**-53  # float64 unit roundoff
 
 
@@ -181,10 +181,12 @@ def evaluate(
     q_gt, q_cam = protocol.query.gt_id, protocol.query.camera_id
     g_gt, g_cam = protocol.gallery.gt_id, protocol.gallery.camera_id
     block = max(1, _SCREEN_BLOCK_BYTES // (8 * len(gallery)))
+    screens = np.empty((min(block, len(queries)), len(gallery)))  # every block's screen
     aps, first_ranks, skipped = [], [], 0
     for start in range(0, len(queries), block):
         stop = min(start + block, len(queries))
-        screen = np.asarray(queries[start:stop], dtype=np.float64) @ gallery64.T
+        block_q = np.asarray(queries[start:stop], dtype=np.float64)
+        screen = np.matmul(block_q, gallery64.T, out=screens[: stop - start])
         screen *= -2.0
         screen += gallery_sq
         screen += query_sq[start:stop, None]

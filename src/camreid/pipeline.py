@@ -184,11 +184,13 @@ def build_benchmark(config: PipelineConfig) -> Benchmark:
 
 
 def embed_all(params: enc.EncoderParams, observations: np.ndarray, batch_size: int = 2048) -> np.ndarray:
+    """Unit embeddings of every row, by batches that share one forward cache."""
     obs = np.asarray(observations).astype(params.dtype, copy=False)
-    if obs.shape[0] == 0:
-        return np.zeros((0, params.dims[-1]), dtype=params.dtype)
-    parts = [enc.forward(params, obs[s : s + batch_size]) for s in range(0, obs.shape[0], batch_size)]
-    return np.concatenate(parts, axis=0)
+    result = np.empty((obs.shape[0], params.dims[-1]), dtype=params.dtype)
+    cache = enc.ForwardCache.for_rows(params, min(batch_size, obs.shape[0]))
+    for s in range(0, obs.shape[0], batch_size):
+        enc.forward(params, obs[s : s + batch_size], cache, out=result[s : s + batch_size])
+    return result
 
 
 def train_cid(config: PipelineConfig, observations: np.ndarray) -> tuple[enc.EncoderPair, list[ctr.TrainStats]]:
@@ -583,9 +585,8 @@ def load_full_table(
         digests = storage.validate_inputs(_sim_inputs(root))
     key = (digests["detections"], digests["observations"])
     if key not in _table_cache:
-        recs = storage.read_records(root / "sim" / "detections.jsonl")
+        columns = storage.read_int_records(root / "sim" / "detections.jsonl", synth.DetectionTable.INT_COLUMNS)
         tens = storage.read_tensors(root / "sim" / "observations.rctr")
-        columns = {c: np.array([r[c] for r in recs], dtype=np.int64) for c in synth.DetectionTable.INT_COLUMNS}
         if not np.array_equal(columns["det_id"], tens["det_ids"]):
             raise ManifestError("detections.jsonl and observations.rctr disagree on det_ids")
         for column in (*columns.values(), tens["observations"]):
@@ -609,7 +610,7 @@ def load_eval_split(
     row_of = {int(d): i for i, d in enumerate(full.det_id)}
 
     def rows(name: str) -> np.ndarray:
-        ids = [r["det_id"] for r in storage.read_records(root / "sim" / name)]
+        ids = storage.read_int_records(root / "sim" / name, ["det_id"])["det_id"].tolist()
         unknown = [d for d in ids if d not in row_of]
         if unknown:
             raise ManifestError(f"sim/{name} names det_id {unknown[0]}, which is not in the detection table")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -72,43 +73,49 @@ def write_tensors(path: Path | str, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(name_b)
         chunks.append(struct.pack("<BB", tag, a.ndim))
         chunks.append(struct.pack(f"<{a.ndim}Q", *a.shape))
-        chunks.append(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes(order="C"))
+        # The array's own C-order buffer, written without a copy.
+        chunks.append(a.astype(a.dtype.newbyteorder("<"), copy=False).reshape(-1).view(np.uint8))
     with _replacing(path, "wb") as fh:
         fh.writelines(chunks)
 
 
+def _read_exactly(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise struct.error(f"unexpected end of file, {len(data)} of {n} bytes")
+    return data
+
+
 def read_tensors(path: Path | str) -> dict[str, np.ndarray]:
+    """The tensors of a container, each payload read straight into its array."""
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"missing tensor file {path}")
-    raw = path.read_bytes()
     try:
-        if raw[:4] != MAGIC:
-            raise ManifestError(f"{path} is not a tensor container (bad magic)")
-        version, count = struct.unpack_from("<II", raw, 4)
-        if version != FORMAT_VERSION:
-            raise ManifestError(f"{path}: unsupported container version {version}")
-        off = 12
-        out = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            name = raw[off : off + name_len].decode("utf-8")
-            off += name_len
-            tag, ndim = struct.unpack_from("<BB", raw, off)
-            off += 2
-            if tag not in _DTYPE_TAGS:
-                raise ManifestError(f"{path}: unknown dtype tag {tag}")
-            shape = struct.unpack_from(f"<{ndim}Q", raw, off)
-            off += 8 * ndim
-            dtype = _DTYPE_TAGS[tag]
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-            payload = raw[off : off + nbytes]
-            if len(payload) != nbytes:
-                raise ManifestError(f"{path}: truncated payload for tensor '{name}'")
-            off += nbytes
-            out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-        return out
+        with path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if fh.read(4) != MAGIC:
+                raise ManifestError(f"{path} is not a tensor container (bad magic)")
+            version, count = struct.unpack("<II", _read_exactly(fh, 8))
+            if version != FORMAT_VERSION:
+                raise ManifestError(f"{path}: unsupported container version {version}")
+            out = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", _read_exactly(fh, 2))
+                name = _read_exactly(fh, name_len).decode("utf-8")
+                tag, ndim = struct.unpack("<BB", _read_exactly(fh, 2))
+                if tag not in _DTYPE_TAGS:
+                    raise ManifestError(f"{path}: unknown dtype tag {tag}")
+                shape = struct.unpack(f"<{ndim}Q", _read_exactly(fh, 8 * ndim))
+                dtype = _DTYPE_TAGS[tag]
+                nbytes = math.prod(shape) * dtype.itemsize
+                if nbytes > size - fh.tell():
+                    raise ManifestError(f"{path}: truncated payload for tensor '{name}'")
+                arr = np.empty(shape, dtype=dtype)
+                if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                    raise ManifestError(f"{path}: truncated payload for tensor '{name}'")
+                out[name] = arr
+            return out
     except (struct.error, UnicodeDecodeError, ValueError) as e:
         raise ManifestError(f"{path}: corrupt tensor container ({e})") from e
 
@@ -120,6 +127,17 @@ def write_records(path: Path | str, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+def _int_record_pieces(names: Sequence[str]) -> list[str]:
+    """The literal text around the integers of a record with these sorted keys."""
+    keys = [json.dumps(k) + ": " for k in names]
+    return ["{" + keys[0], *(", " + k for k in keys[1:]), "}\n"]
+
+
+def _int_record_format(names: Sequence[str]) -> str:
+    """One record line with these sorted keys, as a ``%`` format of its integers."""
+    return "%d".join(p.replace("%", "%%") for p in _int_record_pieces(names))
+
+
 def write_int_records(path: Path | str, columns: Mapping[str, Sequence[int]]) -> None:
     """Flat integer records, one per row of ``columns``, as ``write_records`` writes them.
 
@@ -128,10 +146,53 @@ def write_int_records(path: Path | str, columns: Mapping[str, Sequence[int]]) ->
     string instead of a ``json.dumps`` call per row.
     """
     names = sorted(columns)
-    line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %d" for k in names) + "}\n"
+    line = _int_record_format(names)
     rows = zip(*(np.asarray(columns[k]).tolist() for k in names), strict=True)
     with _replacing(Path(path), "w") as fh:
         fh.writelines(line % row for row in rows)
+
+
+def read_int_records(path: Path | str, names: Iterable[str]) -> dict[str, np.ndarray]:
+    """The int64 columns of a file that `write_int_records` wrote with these names.
+
+    The key text is stripped and every integer parsed in one pass (one out
+    of int64's range saturates, and so fails the check).  The parsed rows
+    are then rendered with the writer's format string, and every line but a
+    blank one must match that text exactly, so a cut, reordered,
+    non-integer or extra-key line raises `ManifestError` naming the first
+    such line.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ManifestError(f"missing record file {path}")
+    names = sorted(names)
+    pieces = _int_record_pieces(names)
+    line = _int_record_format(names)
+
+    def parse(text: str) -> np.ndarray | None:
+        """The integers of ``text`` if it is whole records, exactly as written."""
+        fields = text
+        for piece in pieces:
+            fields = fields.replace(piece, " ")
+        try:
+            values = np.fromstring(fields, dtype=np.int64, sep=" ")
+        except ValueError:
+            return None
+        n_rows, rest = divmod(len(values), len(names))
+        return values if not rest and line * n_rows % tuple(values.tolist()) == text else None
+
+    text = path.read_text()
+    values = parse(text)
+    if values is None:
+        # Blank lines are skipped, as `read_records` skips them; every other
+        # line must be a record.
+        lines = [(i, got) for i, got in enumerate(text.splitlines(keepends=True), 1) if got.strip()]
+        bad = next((i for i, got in lines if parse(got) is None), None)
+        if bad is not None:
+            raise ManifestError(f"{path}:{bad}: not a record of the integer keys {names}")
+        values = parse("".join(got for _, got in lines))
+    table = values.reshape(-1, len(names))
+    return {name: table[:, i].copy() for i, name in enumerate(names)}
 
 
 def read_records(path: Path | str) -> list[dict]:
@@ -152,10 +213,12 @@ def read_records(path: Path | str) -> list[dict]:
 
 
 def sha256_file(path: Path | str) -> str:
+    """Hex digest of a file, read in blocks of up to 1 MiB into one buffer."""
     h = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    with Path(path).open("rb", buffering=0) as fh:
+        buf = memoryview(bytearray(min(max(os.fstat(fh.fileno()).st_size, 1), 1 << 20)))
+        while n := fh.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
 
 

@@ -252,17 +252,23 @@ def _unit_rows(rng, n, d, dtype=np.float32):
 @pytest.mark.parametrize("n_keys", [1, 1000, 4096])
 def test_batch_info_nce_workspace_matches_plain_formula(n_keys):
     # A bank that is filling (n < K, n not a multiple of B) and a full one,
-    # at the default step shapes B=256, K=4096, D=128.
+    # at the default step shapes B=256, K=4096, D=128.  The NaN-filled
+    # logits, gradient and scratch buffers have more rows than the batch and
+    # serve two different batches in turn, as an epoch's workspace does.
     rng = np.random.default_rng(n_keys)
-    b, k, d = 256, 4096, 128
-    q, k_pos = _unit_rows(rng, b, d), _unit_rows(rng, b, d)
+    k, d = 4096, 128
+    logits = np.full((300, k + 1), np.nan, dtype=np.float32)
+    grad_buf = np.full((300, d), np.nan, dtype=np.float32)
+    scratch = np.full((300, d), np.nan, dtype=np.float32)
     negatives = _unit_rows(rng, n_keys, d)
-    workspace = np.full((b, k + 1), np.nan, dtype=np.float32)
-    loss, grad_q = ctr._batch_info_nce(q, k_pos, negatives, 0.07, workspace)
-    want_loss, want_grad = _plain_batch_info_nce(q, k_pos, negatives, 0.07)
-    assert loss == want_loss
-    assert grad_q.dtype == want_grad.dtype
-    assert np.array_equal(grad_q, want_grad)
+    for b in (256, 97):
+        q, k_pos = _unit_rows(rng, b, d), _unit_rows(rng, b, d)
+        loss, grad_q = ctr._batch_info_nce(q, k_pos, negatives, 0.07, logits, grad_buf, scratch)
+        want_loss, want_grad = _plain_batch_info_nce(q, k_pos, negatives, 0.07)
+        assert loss == want_loss
+        assert grad_q.base is grad_buf
+        assert grad_q.dtype == want_grad.dtype
+        assert np.array_equal(grad_q, want_grad)
 
 
 def _default_step_setup(seed=0):
@@ -274,7 +280,7 @@ def _default_step_setup(seed=0):
     rng = np.random.default_rng(seed)
     bank.enqueue(_unit_rows(rng, k, 128))
     views = [rng.standard_normal((b, 64)).astype(np.float32) for _ in range(4)]
-    return pair, optim, bank, ctr._workspace(pair, bank, b), views
+    return pair, optim, bank, ctr.StepWorkspace.for_epoch(pair, bank, b, 64), views
 
 
 def test_training_step_matches_step_with_recomputed_forward():
@@ -371,3 +377,19 @@ def test_contrastive_config_validation():
     with pytest.raises(InvalidInputError):
         ctr.ContrastiveConfig(key_momentum=1.5).validate()
     ctr.ContrastiveConfig().validate()
+
+
+def test_steady_state_step_stays_below_the_mmap_threshold():
+    # Every batch-sized array of a step at B=256, K=4096 lives in the
+    # epoch's workspace; what a step still allocates must stay below
+    # malloc's 128 KiB mmap threshold, so that no step maps and faults in
+    # fresh pages.
+    pair, optim, bank, workspace, (a, b, c, d) = _default_step_setup()
+    ctr._run_batch(pair, bank, optim, a, b, 0.07, 0.03, workspace)
+    tracemalloc.start()
+    try:
+        ctr._run_batch(pair, bank, optim, c, d, 0.07, 0.03, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 10

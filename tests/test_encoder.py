@@ -75,15 +75,8 @@ def test_backward_matches_finite_differences():
             assert grads.biases[li][0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
-def test_forward_and_backward_match_plain_formulas():
-    # The in-place layers must compute what the formulas compute with fresh
-    # arrays, bit for bit, at the default float32 shapes.
-    pair = enc.init_encoder((64, 256, 128), seed=1)
-    params = pair.query
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((256, 64)).astype(np.float32)
-    g = rng.standard_normal((256, 128)).astype(np.float32)
-
+def _plain_forward_backward(params, x, g):
+    """Embeddings and gradients by the plain formulas, with fresh arrays."""
     acts = [x]
     h = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -93,30 +86,94 @@ def test_forward_and_backward_match_plain_formulas():
     norms = np.maximum(np.sqrt(np.sum(z * z, axis=1, keepdims=True)), 1e-30)
     out = z / norms
     dz = (g - out * np.sum(out * g, axis=1, keepdims=True)) / norms
-    want_w, want_b = [None] * 2, [None] * 2
-    for i in (1, 0):
-        want_w[i] = acts[i].T @ dz
-        want_b[i] = dz.sum(axis=0)
+    grads = [None] * (2 * len(params.weights))
+    for i in range(len(params.weights) - 1, -1, -1):
+        grads[i] = acts[i].T @ dz
+        grads[len(params.weights) + i] = dz.sum(axis=0)
         if i > 0:
             dh = dz @ params.weights[i].T
             dh[acts[i] <= 0] = 0
             dz = dh
+    return out, grads
+
+
+def test_forward_and_backward_match_plain_formulas():
+    # The in-place layers must compute what the formulas compute with fresh
+    # arrays, bit for bit, at the default float32 shapes.
+    pair = enc.init_encoder((64, 256, 128), seed=1)
+    params = pair.query
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((256, 64)).astype(np.float32)
+    g = rng.standard_normal((256, 128)).astype(np.float32)
+    out, want = _plain_forward_backward(params, x, g)
 
     cache = enc.forward_cached(params, x)
     assert np.array_equal(cache.out, out)
     assert np.array_equal(enc.forward(params, x), out)
     grads = enc.backward(params, cache, g)
-    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    for got, w in zip(grads.weights + grads.biases, want):
+        assert got.dtype == w.dtype
+        assert np.array_equal(got, w)
     # Written into caller buffers, the gradients are the same bits.
     out = enc.EncoderGrads(
         weights=[np.full_like(w, np.nan) for w in params.weights],
         biases=[np.full_like(b, np.nan) for b in params.biases],
     )
     assert enc.backward(params, cache, g, out=out) is out
-    for got, want in zip(out.weights + out.biases, want_w + want_b):
-        assert np.array_equal(got, want)
+    for got, w in zip(out.weights + out.biases, want):
+        assert np.array_equal(got, w)
+
+
+def _nan_cache(params, rows):
+    cache = enc.ForwardCache.for_rows(params, rows)
+    for a in (*cache.hidden, cache.z, cache.norms, cache.unit, *cache.deltas):
+        a.fill(np.nan)
+    return cache
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reused_forward_cache_matches_plain_formulas(dtype):
+    # One NaN-filled cache, larger than either batch, serves two different
+    # batches in turn, as an epoch's workspace does; every embedding and
+    # gradient must be the bits that fresh arrays give.  Three layers, so
+    # backward passes through two rectified hidden layers.
+    params = enc.init_encoder((24, 48, 40, 16), seed=5, dtype=dtype).query
+    rng = np.random.default_rng(5)
+    cache = _nan_cache(params, 70)
+    for n in (64, 37):
+        x = rng.standard_normal((n, 24)).astype(dtype)
+        g = rng.standard_normal((n, 16)).astype(dtype)
+        want_out, want_grads = _plain_forward_backward(params, x, g)
+        assert enc.forward_cached(params, x, cache) is cache
+        assert cache.out.shape == (n, 16)
+        assert np.array_equal(cache.out, want_out)
+        assert np.array_equal(enc.forward(params, x, cache), want_out)
+        grads = enc.backward(params, cache, g)
+        for got, want in zip(grads.weights + grads.biases, want_grads):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # Into a caller's slice, the unit rows are the same bits.
+        result = np.full((n + 3, 16), np.nan, dtype=dtype)
+        view = result[2 : n + 2]
+        assert enc.forward(params, x, cache, out=view) is view
+        assert np.array_equal(view, want_out)
+        assert np.isnan(result[:2]).all() and np.isnan(result[n + 2 :]).all()
+
+
+def test_forward_rejects_a_cache_or_out_that_does_not_fit():
+    params = enc.init_encoder((5, 7, 3), seed=0, dtype=np.float64).query
+    x = np.zeros((4, 5))
+    with pytest.raises(InvalidInputError):
+        enc.forward(params, x, enc.ForwardCache.for_rows(params, 3))
+    other = enc.init_encoder((5, 7, 3), seed=0, dtype=np.float32).query
+    with pytest.raises(InvalidInputError):
+        enc.forward(params, x, enc.ForwardCache.for_rows(other, 4))
+    with pytest.raises(InvalidInputError):
+        enc.forward(params, x, out=np.empty((4, 3), dtype=np.float32))
+    with pytest.raises(InvalidInputError):
+        enc.forward(params, x, out=np.empty((5, 3)))
+    with pytest.raises(InvalidInputError):
+        enc.forward(params, np.array([[1.0, 2.0, np.inf, 0.0, 0.0]]))
 
 
 def test_backward_rejects_mismatched_gradient():

@@ -2,6 +2,7 @@
 near-ties that only the exact per-row distance can order."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,3 +314,27 @@ def test_screened_ranking_matches_full_sort_on_near_ties(dtype, cross):
         assert report.cmc == cmc
         assert report.mean_ap == mean_ap
         assert (report.n_queries, report.n_skipped) == (len(aps), skipped)
+
+
+def test_evaluate_reuses_one_screen_buffer_for_every_block():
+    # Nine blocks of queries share one screen buffer (about 4 MiB here).
+    # Beyond it the peak may hold the report and a few vectors per query
+    # and gallery row, well below a second screen.
+    rng = np.random.default_rng(2)
+    n_q, n_g, dim = 1400, 3000, 32
+    protocol = _split(
+        rng.standard_normal((n_q, dim)), rng.standard_normal((n_g, dim)),
+        rng.integers(0, 300, n_q), rng.integers(0, 4, n_q), rng.integers(0, 300, n_g), rng.integers(0, 4, n_g),
+    )
+    q_emb, g_emb = protocol.query.observations, protocol.gallery.observations
+    block = ev._SCREEN_BLOCK_BYTES // (8 * n_g)
+    assert n_q > 8 * block
+    ev.evaluate(q_emb, g_emb, protocol)
+    tracemalloc.start()
+    try:
+        ev.evaluate(q_emb, g_emb, protocol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    screen = 8 * block * n_g
+    assert peak <= screen + 128 * (n_q + n_g) + (128 << 10)

@@ -6,11 +6,13 @@ rather than retrieval quality.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from camreid import contrastive as ctr
+from camreid import encoder as enc
 from camreid import pipeline as pl
 from camreid import synth
 from camreid.errors import InvalidInputError, ManifestError
@@ -284,6 +286,16 @@ def test_changed_detections_rerun_extract(tiny_cfg, tmp_path):
     assert pl.stage_extract(tmp_path, tiny_cfg, force=True)
 
 
+def test_corrupt_detection_line_is_named(tiny_cfg, tmp_path):
+    assert pl.stage_simulate(tmp_path, tiny_cfg)
+    detections = tmp_path / "sim" / "detections.jsonl"
+    lines = detections.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace('"frame": ', '"frame": 0.5 + ')
+    detections.write_text("".join(lines))
+    with pytest.raises(ManifestError, match=r"detections\.jsonl:5:"):
+        pl.stage_train_cid(tmp_path, tiny_cfg)
+
+
 def test_stage_dying_before_its_manifest_is_rerun(tiny_cfg, tmp_path, monkeypatch):
     from camreid import storage
 
@@ -350,3 +362,34 @@ def test_model_size_ablation(tiny_cfg, tiny_bench):
     assert rows[0]["n_params"] == 24 * 16 + 16 + 16 * 8 + 8
     for r in rows:
         assert 0.0 <= r["rank1"] <= 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_rows", [0, 1, 100, 256, 301])
+def test_embed_all_matches_concatenated_forward_passes(dtype, n_rows):
+    # One cache and one result array give the bits of one fresh forward
+    # pass per batch, concatenated, with a short last batch.
+    params = enc.init_encoder((24, 32, 16), seed=3, dtype=dtype).query
+    obs = np.random.default_rng(n_rows).standard_normal((n_rows, 24)).astype(dtype)
+    got = pl.embed_all(params, obs, batch_size=100)
+    parts = [enc.forward(params, obs[s : s + 100]) for s in range(0, n_rows, 100)]
+    want = np.concatenate(parts, axis=0) if parts else np.zeros((0, 16), dtype=dtype)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_embed_all_allocates_the_result_and_one_batch_of_buffers():
+    # Twelve batches must not cost twelve batches of activations, nor a
+    # second copy of the result; 64 KiB covers the small objects.
+    params = enc.init_encoder((64, 256, 128), seed=0).query
+    obs = np.random.default_rng(0).standard_normal((12 * 512, 64)).astype(np.float32)
+    one_batch = enc.ForwardCache.for_rows(params, 512).nbytes
+    pl.embed_all(params, obs, batch_size=512)
+    tracemalloc.start()
+    try:
+        result = pl.embed_all(params, obs, batch_size=512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= result.nbytes + one_batch + (64 << 10)

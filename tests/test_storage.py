@@ -61,6 +61,37 @@ def test_tensor_fortran_order_roundtrip(tmp_path):
     np.testing.assert_array_equal(storage.read_tensors(p)["a"], arr)
 
 
+def test_tensor_bytes_follow_the_container_layout(tmp_path):
+    # The payloads are the arrays' own little-endian C-order bytes, written
+    # and read without intermediate copies; the layout is unchanged.
+    p = tmp_path / "t.bin"
+    a = np.asfortranarray(np.arange(6, dtype=np.float32).reshape(2, 3))
+    b = np.array([-3, 9], dtype=np.int64)
+    storage.write_tensors(p, {"a": a, "bb": b})
+    want = (
+        storage.MAGIC + struct.pack("<II", storage.FORMAT_VERSION, 2)
+        + struct.pack("<H", 1) + b"a" + struct.pack("<BB", 0, 2) + struct.pack("<2Q", 2, 3)
+        + np.ascontiguousarray(a).astype("<f4").tobytes()
+        + struct.pack("<H", 2) + b"bb" + struct.pack("<BB", 2, 1) + struct.pack("<Q", 2)
+        + b.astype("<i8").tobytes()
+    )
+    assert p.read_bytes() == want
+    back = storage.read_tensors(p)
+    assert back["a"].flags.c_contiguous and back["a"].flags.writeable
+    np.testing.assert_array_equal(back["a"], a)
+    np.testing.assert_array_equal(back["bb"], b)
+
+
+def test_tensor_truncated_header_raises(tmp_path):
+    p = tmp_path / "t.bin"
+    storage.write_tensors(p, {"name": np.arange(3, dtype=np.float64)})
+    raw = p.read_bytes()
+    for cut in (6, 13, 16, 20):
+        p.write_bytes(raw[:cut])
+        with pytest.raises(ManifestError):
+            storage.read_tensors(p)
+
+
 def test_tensor_missing_file_raises(tmp_path):
     with pytest.raises(ManifestError):
         storage.read_tensors(tmp_path / "nope.bin")
@@ -168,6 +199,47 @@ def test_int_records_match_write_records_bytes(tmp_path, columns):
     storage.write_records(tmp_path / "a.jsonl", (dict(zip(names, r)) for r in rows))
     storage.write_int_records(tmp_path / "b.jsonl", columns)
     assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+    # And read_int_records is its mirror: the columns read_records gives.
+    got = storage.read_int_records(tmp_path / "b.jsonl", names)
+    recs = storage.read_records(tmp_path / "a.jsonl")
+    assert sorted(got) == sorted(names)
+    for name, col in got.items():
+        assert col.dtype == np.int64
+        assert col.tolist() == [r[name] for r in recs] == np.asarray(columns[name]).tolist()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"det_id": 2, "frame": ',  # cut
+        '{"frame": 1, "det_id": 2}\n',  # reordered keys
+        '{"det_id": 2.0, "frame": 1}\n',  # float
+        '{"det_id": 2, "frame": 1, "gt_id": 3}\n',  # extra key
+        '{"det_id": 2}\n',  # missing key
+        '{"det_id": +2, "frame": 1}\n',  # not as the writer renders it
+        '{"det_id":2, "frame": 1}\n',  # other spacing
+        '{"det_id": 99999999999999999999, "frame": 1}\n',  # beyond int64
+    ],
+    ids=["cut", "reordered", "float", "extra-key", "missing-key", "plus-sign", "spacing", "out-of-range"],
+)
+def test_read_int_records_names_the_first_bad_line(tmp_path, line):
+    p = tmp_path / "a.jsonl"
+    storage.write_int_records(p, {"det_id": [0, 1], "frame": [5, 6]})
+    good = p.read_text()
+    p.write_text(good + line + good)
+    with pytest.raises(ManifestError, match=r"a\.jsonl:3:"):
+        storage.read_int_records(p, ["det_id", "frame"])
+
+
+def test_read_int_records_skips_blank_lines_as_read_records_does(tmp_path):
+    p = tmp_path / "a.jsonl"
+    p.write_text('{"det_id": 4}\n\n{"det_id": -1}\n\n')
+    assert storage.read_int_records(p, ["det_id"])["det_id"].tolist() == [4, -1]
+
+
+def test_read_int_records_missing_file_raises(tmp_path):
+    with pytest.raises(ManifestError):
+        storage.read_int_records(tmp_path / "nope.jsonl", ["det_id"])
 
 
 # ---------------------------------------------------------------- digests
@@ -176,6 +248,14 @@ def test_int_records_match_write_records_bytes(tmp_path, columns):
 def test_sha256_file_matches_hashlib(tmp_path):
     p = tmp_path / "blob"
     data = b"some bytes\x00\x01" * 100
+    p.write_bytes(data)
+    assert storage.sha256_file(p) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
+def test_sha256_file_matches_hashlib_across_block_sizes(tmp_path, size):
+    p = tmp_path / "blob"
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
     p.write_bytes(data)
     assert storage.sha256_file(p) == hashlib.sha256(data).hexdigest()
 
