@@ -23,6 +23,6 @@ from .errors import (
 from .evaluation import EvalProtocol, EvalReport, evaluate
 from .pipeline import PipelineConfig, build_benchmark, run_pipeline, run_steps_ablation
 from .synth import StreamConfig, generate_world, simulate_stream, split_eval
-from .tracklet import assemble_segments, filter_segments, mutual_matches, segment_stats
+from .tracklet import assemble_segments, filter_segments, mutual_matches, segment_purity, segment_stats
 
 __version__ = "0.1.0"

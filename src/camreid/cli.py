@@ -48,17 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "generate the synthetic stream and evaluation split"),
-        ("train-cid", "instance-discrimination training stage"),
-        ("extract", "embed training detections with a trained checkpoint"),
-        ("trackletize", "mine tracklet segments from extracted embeddings"),
-        ("train-tsd", "segment-discrimination training stage"),
-        ("fit-ccr", "fit the camera classifier and build the reducer"),
-        ("evaluate", "rank the evaluation split and report CMC / mAP"),
-        ("run", "run every stage in order"),
-        ("ablate", "sweep one ablation axis"),
-    ):
+    commands = {**pl.STAGES, "run": "run every stage in order", "ablate": "sweep one ablation axis"}
+    for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "extract":
@@ -116,12 +107,11 @@ def main(argv=None) -> int:
                 raise InvalidInputError(f"--values is not valid JSON ({e})") from e
         pl.write_config(args.out, config, force=args.force)
         stage = getattr(pl, "stage_" + args.command.replace("-", "_"))
-        result = stage(args.out, config, force=args.force, **options)
+        stage(args.out, config, force=args.force, **options)
         if args.command in ("evaluate", "run"):
             print((args.out / "eval" / "report.txt").read_text(), end="")
         elif args.command == "ablate":
-            for row in result:
-                print(json.dumps(row, sort_keys=True))
+            print((args.out / "ablation" / args.axis / "rows.jsonl").read_text(), end="")
         return 0
     except CamreidError as e:
         record = {"error": type(e).__name__, "message": str(e)}

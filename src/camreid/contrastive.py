@@ -106,12 +106,14 @@ class MemoryBank:
 
 @dataclass
 class StepWorkspace:
-    """Every batch-sized buffer of a training step, allocated once per epoch.
+    """Every batch-sized buffer of a training step, allocated once per stage.
 
     A fresh array of 128 KiB or more is mapped and faulted in anew by
     malloc, so a step that made its B x (K+1) logits, activations and
     gradients afresh would pay for the page faults on every step, more than
-    for the arithmetic at the default shapes.
+    for the arithmetic at the default shapes.  Every step writes a buffer
+    before reading it, so one workspace serves all epochs; an epoch given
+    none makes its own.
     """
 
     logits: np.ndarray  # B x (K+1), for `_batch_info_nce`
@@ -237,6 +239,7 @@ def cid_epoch(
     rng: np.random.Generator,
     epoch: int = 0,
     lr: float | None = None,
+    workspace: StepWorkspace | None = None,
 ) -> TrainStats:
     """One instance-discrimination epoch over shuffled observations.
 
@@ -255,7 +258,8 @@ def cid_epoch(
     t0 = time.perf_counter()
     step_lr = config.base_lr if lr is None else lr
     perm = rng.permutation(x.shape[0])
-    workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
+    if workspace is None:
+        workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
     losses = []
     for start in range(0, x.shape[0] - config.batch_size + 1, config.batch_size):
         idx = perm[start : start + config.batch_size]
@@ -315,6 +319,7 @@ def tsd_epoch(
     optim: enc.OptimState,
     rng: np.random.Generator,
     epoch: int,
+    workspace: StepWorkspace | None = None,
 ) -> TrainStats:
     """One segment-discrimination epoch with a cosine-decayed learning rate.
 
@@ -335,7 +340,8 @@ def tsd_epoch(
     probs = lengths / lengths.sum()
     n_batches = max(int(lengths.sum()) // config.batch_size, 1)
     step_lr = enc.cosine_lr(epoch, config.epochs_tsd, config.base_lr)
-    workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
+    if workspace is None:
+        workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
     losses = []
     for _ in range(n_batches):
         seg_idx = rng.choice(len(usable), size=config.batch_size, p=probs)

@@ -10,7 +10,6 @@ momentum (exponential moving average) update.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,11 +72,11 @@ class OptimState:
 
     velocity_w: list[np.ndarray]
     velocity_b: list[np.ndarray]
+    grads: EncoderGrads = field(repr=False)
+    scratch: EncoderGrads = field(repr=False)
     base_lr: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    grads: EncoderGrads | None = field(default=None, repr=False)
-    scratch: EncoderGrads | None = field(default=None, repr=False)
 
     @staticmethod
     def for_params(params: EncoderParams, base_lr: float = 0.03, momentum: float = 0.9,
@@ -116,7 +115,7 @@ class ForwardCache:
     """Buffers for a forward pass of up to ``len(z)`` rows and its `backward`.
 
     Built once by `for_rows` and filled by every pass that is given it, so a
-    training epoch or an embedding loop maps its activations once instead of
+    training stage or an embedding loop maps its activations once instead of
     once per batch.  After a pass of n rows, ``inputs`` and ``out`` describe
     that pass: ``inputs[0]`` is the batch itself and ``out`` holds its unit
     rows, in the cache's own buffer or in the slice the caller gave.  Each
@@ -246,13 +245,12 @@ def sgd_step(params: EncoderParams, grads: EncoderGrads, optim: OptimState, lr: 
     for g in grads.weights + grads.biases:
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError("non-finite gradient in sgd_step")
-    scratch = optim.scratch if optim.scratch is not None else _buffers_like(params)
     lr_t = params.dtype.type(lr)
     for p, g, v, s in zip(
         params.weights + params.biases,
         grads.weights + grads.biases,
         optim.velocity_w + optim.velocity_b,
-        scratch.weights + scratch.biases,
+        optim.scratch.weights + optim.scratch.biases,
     ):
         # v += g + wd p; p -= lr v, each product and sum rounded as written.
         v *= optim.momentum

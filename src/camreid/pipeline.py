@@ -5,10 +5,13 @@ function adds persistence on top for the command line: it names its input
 files and a body that calls the in-memory functions and writes its outputs,
 and one private helper, ``_run_stage``, digests the inputs, skips the stage
 when its manifest already records them, refuses to replace another run's
-results without ``force``, runs the body and writes the manifest.  Stage
-boundaries follow the data flow:
+results without ``force``, runs the body and writes the manifest.
+``STAGES`` lists the stages of ``run`` in the order of the data flow:
 
     simulate -> train-cid -> extract -> trackletize -> train-tsd -> fit-ccr -> evaluate
+
+``stage_ablate`` runs one ablation axis the same way into ``ablation/<axis>/``,
+keyed by the config, the axis and the values as given.
 
 Every stage that reads the detection table declares both sim/ files as
 inputs, and the table is parsed at most once per process for each pair of
@@ -24,7 +27,6 @@ import dataclasses
 import json
 import logging
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -205,9 +207,10 @@ def train_cid(config: PipelineConfig, observations: np.ndarray) -> tuple[enc.Enc
     bank = ctr.MemoryBank(cc.bank_size, config.encoder_dims[-1], dtype=config.dtype)
     optim = enc.OptimState.for_params(pair.query, cc.base_lr, cc.sgd_momentum, cc.weight_decay)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, _SALT_CID_RNG])))
+    workspace = ctr.StepWorkspace.for_epoch(pair, bank, cc.batch_size, observations.shape[1])
     stats = []
     for epoch in range(cc.epochs_cid):
-        stats.append(ctr.cid_epoch(pair, bank, observations, cc, optim, rng, epoch=epoch))
+        stats.append(ctr.cid_epoch(pair, bank, observations, cc, optim, rng, epoch=epoch, workspace=workspace))
     return pair, stats
 
 
@@ -237,10 +240,11 @@ def train_tsd(
     bank = ctr.MemoryBank(cc.bank_size, config.encoder_dims[-1], dtype=config.dtype)
     optim = enc.OptimState.for_params(pair.query, cc.base_lr, cc.sgd_momentum, cc.weight_decay)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, _SALT_TSD_RNG])))
+    workspace = ctr.StepWorkspace.for_epoch(pair, bank, cc.batch_size, train.observations.shape[1])
     stats = []
     for epoch in range(cc.epochs_tsd):
         stats.append(
-            ctr.tsd_epoch(pair, bank, rows, train.observations, cc, optim, rng, epoch=epoch)
+            ctr.tsd_epoch(pair, bank, rows, train.observations, cc, optim, rng, epoch, workspace)
         )
     return pair, stats
 
@@ -327,7 +331,7 @@ def run_pipeline(config: PipelineConfig, bench: Benchmark | None = None) -> Pipe
     )
 
 
-def run_steps_ablation(config: PipelineConfig, bench: Benchmark | None = None) -> dict[str, ev.EvalReport]:
+def run_steps_ablation(config: PipelineConfig) -> dict[str, ev.EvalReport]:
     """Evaluate the four pipeline arms, sharing work where the arms overlap.
 
     'cid' evaluates the instance stage alone; 'tsd' mines segments with an
@@ -335,8 +339,7 @@ def run_steps_ablation(config: PipelineConfig, bench: Benchmark | None = None) -
     chains the stages; 'cid+tsd+ccr' adds the camera reduction.  The three
     chained arms are scored from one `run_pipeline` call.
     """
-    if bench is None:
-        bench = build_benchmark(config)
+    bench = build_benchmark(config)
     split = (bench.query, bench.gallery)
     chained = run_pipeline(config, bench)
 
@@ -360,26 +363,22 @@ def slice_fraction(config: PipelineConfig, train: synth.DetectionTable, fraction
     return train.select(train.frame < cutoff)
 
 
-def ablation_min_len(
-    config: PipelineConfig, values=MIN_LEN_VALUES, bench: Benchmark | None = None
-) -> list[dict]:
+def ablation_min_len(config: PipelineConfig, values=MIN_LEN_VALUES) -> list[dict]:
     """Sweep the segment length threshold; reports purity and retrieval."""
-    if bench is None:
-        bench = build_benchmark(config)
+    bench = build_benchmark(config)
     pair_cid, _ = train_cid(config, bench.train.observations)
     embeddings = embed_all(pair_cid.query, bench.train.observations)
     raw = trk.assemble_segments(bench.train, embeddings, min_affinity=config.min_affinity)
     rows = []
     for min_len in values:
         kept = trk.filter_segments(raw, min_len)
-        stats = trk.segment_stats(kept, bench.gt_by_det)
         pair_tsd, _ = train_tsd(config, pair_cid, kept, bench.train)
         report = eval_report(config, bench.query, bench.gallery, pair_tsd.query, None, arm=f"min_len={min_len}")
         rows.append(
             {
                 "min_len": int(min_len),
-                "n_segments": stats.n_segments,
-                "purity": stats.purity,
+                "n_segments": trk.segment_stats(kept).n_segments,
+                "purity": trk.segment_purity(kept, bench.gt_by_det),
                 "rank1": report.rank1,
                 "mean_ap": report.mean_ap,
             }
@@ -387,9 +386,7 @@ def ablation_min_len(
     return rows
 
 
-def ablation_data_fraction(
-    config: PipelineConfig, values=DATA_FRACTIONS, bench: Benchmark | None = None
-) -> list[dict]:
+def ablation_data_fraction(config: PipelineConfig, values=DATA_FRACTIONS) -> list[dict]:
     """Sweep contiguous time slices of the training window.
 
     Each arm runs the full pipeline on its slice and is scored on the
@@ -398,8 +395,7 @@ def ablation_data_fraction(
     across fractions to keep the points comparable.  Every slice is checked
     before any arm trains.
     """
-    if bench is None:
-        bench = build_benchmark(config)
+    bench = build_benchmark(config)
     small = dataclasses.replace(config.contrastive, batch_size=64, bank_size=1024)
     config = config.with_overrides(contrastive=small)
     slices = [slice_fraction(config, bench.train, fraction) for fraction in values]
@@ -423,17 +419,15 @@ def ablation_data_fraction(
     return rows
 
 
-def ablation_steps(config: PipelineConfig, bench: Benchmark | None = None) -> list[dict]:
-    reports = run_steps_ablation(config, bench)
+def ablation_steps(config: PipelineConfig) -> list[dict]:
+    reports = run_steps_ablation(config)
     return [
         {"steps": arm, "rank1": reports[arm].rank1, "mean_ap": reports[arm].mean_ap}
         for arm in STEP_ARMS
     ]
 
 
-def ablation_model_size(
-    config: PipelineConfig, values=MODEL_SIZES, bench: Benchmark | None = None
-) -> list[dict]:
+def ablation_model_size(config: PipelineConfig, values=MODEL_SIZES) -> list[dict]:
     """Sweep the encoder widths; every arm's dims are checked before anything is built."""
     try:
         configs = [config.with_overrides(encoder_dims=tuple(int(d) for d in dims)) for dims in values]
@@ -441,8 +435,7 @@ def ablation_model_size(
         raise InvalidInputError(f"model_size values must be lists of layer widths, got {values!r}") from e
     for cfg in configs:
         cfg.validate()
-    if bench is None:
-        bench = build_benchmark(config)
+    bench = build_benchmark(config)
     rows = []
     for dims, cfg in zip(values, configs):
         result = run_pipeline(cfg, bench=bench)
@@ -468,34 +461,27 @@ ABLATIONS = {
 }
 
 
-def ablation_grid(config: PipelineConfig, axis: str, values=None, bench: Benchmark | None = None) -> list[dict]:
-    """Dispatch one ablation axis; values=None uses the axis defaults.
-
-    The steps axis has fixed arms and takes no values.
-    """
-    if axis not in ABLATIONS:
-        raise InvalidInputError(f"unknown ablation axis '{axis}'")
-    if values is None:
-        return ABLATIONS[axis](config, bench=bench)
-    if not isinstance(values, (list, tuple)) or not values:
-        raise InvalidInputError(f"ablation values must be a non-empty list, got {values!r}")
-    if axis == "steps":
-        raise InvalidInputError(f"the steps axis has fixed arms {list(STEP_ARMS)} and takes no values")
-    return ABLATIONS[axis](config, values, bench=bench)
-
-
 # ---------------------------------------------------------------------------
 # File-backed stages
 # ---------------------------------------------------------------------------
 
+# The stages of `run`, in run order, with their commands' help text.
+STAGES = {
+    "simulate": "generate the synthetic stream and evaluation split",
+    "train-cid": "instance-discrimination training stage",
+    "extract": "embed training detections with a trained checkpoint",
+    "trackletize": "mine tracklet segments from extracted embeddings",
+    "train-tsd": "segment-discrimination training stage",
+    "fit-ccr": "fit the camera classifier and build the reducer",
+    "evaluate": "rank the evaluation split and report CMC / mAP",
+}
 
-def _run_stage(
-    root: Path, config: PipelineConfig, force: bool, stage: str, dirname: str, inputs: dict, body
-) -> bool:
+
+def _run_stage(root: Path, fingerprint: str, force: bool, stage: str, dirname: str, inputs: dict, body) -> bool:
     """Digest ``inputs``, then skip the stage, refuse, or run ``body`` and record it.
 
     Returns False when ``root/dirname`` holds a manifest with these input
-    digests, this config and intact outputs.  A manifest from another run
+    digests, this fingerprint and intact outputs.  A manifest from another run
     needs ``force``.  Otherwise the old manifest goes first, so a stage that
     dies before its new one is written is run again, never taken as done;
     then ``body(stage_dir, digests)`` writes the outputs and returns them with
@@ -503,8 +489,7 @@ def _run_stage(
     """
     stage_dir = root / dirname
     digests = storage.validate_inputs(inputs)
-    fp = config.fingerprint()
-    if storage.manifest_matches(stage_dir, digests, fp):
+    if storage.manifest_matches(stage_dir, digests, fingerprint):
         log.info("skipping %s (manifest hit)", dirname)
         return False
     manifest = stage_dir / "manifest.json"
@@ -513,7 +498,7 @@ def _run_stage(
     stage_dir.mkdir(parents=True, exist_ok=True)
     manifest.unlink(missing_ok=True)
     outputs, extra = body(stage_dir, digests)
-    storage.write_manifest(stage_dir, stage, digests, outputs, fp, extra=extra)
+    storage.write_manifest(stage_dir, stage, digests, outputs, fingerprint, extra=extra)
     return True
 
 
@@ -530,13 +515,6 @@ def write_config(root: Path, config: PipelineConfig, force: bool = False) -> Non
         if existing != payload and not force:
             raise ManifestError(f"{path} disagrees with the requested config; pass --force")
     storage.write_text(path, _json(payload))
-
-
-def load_config(root: Path) -> PipelineConfig:
-    path = root / "config.json"
-    if not path.exists():
-        raise ManifestError(f"missing {path}; run the simulate stage first")
-    return PipelineConfig.from_payload(json.loads(path.read_text()))
 
 
 def _sim_inputs(root: Path) -> dict[str, Path]:
@@ -563,7 +541,7 @@ def stage_simulate(root: Path, config: PipelineConfig, force: bool = False) -> b
         storage.write_int_records(outputs[3], {"det_id": bench.gallery.det_id})
         return outputs, {"n_detections": len(full)}
 
-    return _run_stage(root, config, force, "simulate", "sim", {}, body)
+    return _run_stage(root, config.fingerprint(), force, "simulate", "sim", {}, body)
 
 
 # The parsed detection table of the last pair of sim/ file digests seen.  It
@@ -662,7 +640,7 @@ def stage_train_cid(root: Path, config: PipelineConfig, force: bool = False) -> 
         pair, stats = train_cid(config, load_train_table(root, config, digests).observations)
         return save_checkpoint(stage_dir, pair, stats, config, "cid"), None
 
-    return _run_stage(root, config, force, "train-cid", "cid", _sim_inputs(root), body)
+    return _run_stage(root, config.fingerprint(), force, "train-cid", "cid", _sim_inputs(root), body)
 
 
 def stage_extract(root: Path, config: PipelineConfig, force: bool = False, checkpoint: str = "cid") -> bool:
@@ -674,7 +652,7 @@ def stage_extract(root: Path, config: PipelineConfig, force: bool = False, check
         return [path], None
 
     inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, checkpoint)}
-    return _run_stage(root, config, force, "extract", "embed", inputs, body)
+    return _run_stage(root, config.fingerprint(), force, "extract", "embed", inputs, body)
 
 
 def stage_trackletize(root: Path, config: PipelineConfig, force: bool = False) -> bool:
@@ -697,19 +675,18 @@ def stage_trackletize(root: Path, config: PipelineConfig, force: bool = False) -
                 for s in segments
             ),
         )
-        lengths = Counter(len(s) for s in segments)
-        per_camera = Counter(s.camera_id for s in segments)
-        stats = {
-            "n_segments": len(segments),
-            "length_hist": {str(k): v for k, v in sorted(lengths.items())},
-            "per_camera": {str(k): v for k, v in sorted(per_camera.items())},
+        stats = trk.segment_stats(segments)
+        summary = {
+            "n_segments": stats.n_segments,
+            "length_hist": {str(k): v for k, v in stats.length_hist.items()},
+            "per_camera": {str(k): v for k, v in stats.per_camera.items()},
             "min_len": config.min_len,
         }
-        storage.write_text(outputs[1], _json(stats))
+        storage.write_text(outputs[1], _json(summary))
         return outputs, None
 
     inputs = {**_sim_inputs(root), "embeddings": root / "embed" / "embeddings.rctr"}
-    return _run_stage(root, config, force, "trackletize", "segments", inputs, body)
+    return _run_stage(root, config.fingerprint(), force, "trackletize", "segments", inputs, body)
 
 
 def load_segments(root: Path) -> list[trk.TrackletSegment]:
@@ -741,7 +718,7 @@ def stage_train_tsd(root: Path, config: PipelineConfig, force: bool = False) -> 
         "segments": root / "segments" / "segments.jsonl",
         **_checkpoint_inputs(root, "cid"),
     }
-    return _run_stage(root, config, force, "train-tsd", "tsd", inputs, body)
+    return _run_stage(root, config.fingerprint(), force, "train-tsd", "tsd", inputs, body)
 
 
 def stage_fit_ccr(root: Path, config: PipelineConfig, force: bool = False) -> bool:
@@ -763,7 +740,7 @@ def stage_fit_ccr(root: Path, config: PipelineConfig, force: bool = False) -> bo
         return outputs, None
 
     inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, "tsd")}
-    return _run_stage(root, config, force, "fit-ccr", "ccr", inputs, body)
+    return _run_stage(root, config.fingerprint(), force, "fit-ccr", "ccr", inputs, body)
 
 
 def load_projector(root: Path) -> ccr_mod.CcrProjector:
@@ -802,32 +779,39 @@ def stage_evaluate(
     }
     if use_ccr:
         inputs.update(projector=root / "ccr" / "projector.rctr", projector_meta=root / "ccr" / "projector.json")
-    return _run_stage(root, config, force, "evaluate", "eval", inputs, body)
+    return _run_stage(root, config.fingerprint(), force, "evaluate", "eval", inputs, body)
 
 
 def stage_run(root: Path, config: PipelineConfig, force: bool = False) -> None:
-    """Every stage in order, each looked up by name when it is called."""
-    stage_simulate(root, config, force)
-    stage_train_cid(root, config, force)
-    stage_extract(root, config, force)
-    stage_trackletize(root, config, force)
-    stage_train_tsd(root, config, force)
-    stage_fit_ccr(root, config, force)
-    stage_evaluate(root, config, force)
+    """Every stage in ``STAGES`` order, each looked up on the module when it is called."""
+    for name in STAGES:
+        globals()["stage_" + name.replace("-", "_")](root, config, force)
 
 
-def stage_ablate(root: Path, config: PipelineConfig, axis: str, values=None, force: bool = False) -> list[dict]:
-    stage_dir = root / "ablation"
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    out_jsonl = stage_dir / f"{axis}.jsonl"
-    out_series = stage_dir / f"{axis}.series"
-    if (out_jsonl.exists() or out_series.exists()) and not force:
-        raise ManifestError(f"{stage_dir}/{axis}.* already exists; pass --force to overwrite")
-    rows = ablation_grid(config, axis, values)
-    storage.write_records(out_jsonl, rows)
-    cols = list(rows[0].keys())
-    lines = ["# " + "\t".join(cols)]
-    for row in rows:
-        lines.append("\t".join(str(row[c]) for c in cols))
-    storage.write_text(out_series, "\n".join(lines) + "\n")
-    return rows
+def stage_ablate(root: Path, config: PipelineConfig, axis: str, values=None, force: bool = False) -> bool:
+    """Sweep one ablation axis into ``ablation/<axis>/rows.jsonl`` and ``rows.series``.
+
+    ``values=None`` uses the axis defaults; the steps axis has fixed arms and
+    takes no values.  Both are checked before anything is written.  The
+    fingerprint covers the config, the axis and ``values`` as given, so an
+    identical rerun is skipped and another grid needs ``force``.
+    """
+    if axis not in ABLATIONS:
+        raise InvalidInputError(f"unknown ablation axis '{axis}'")
+    if values is not None:
+        if not isinstance(values, (list, tuple)) or not values:
+            raise InvalidInputError(f"ablation values must be a non-empty list, got {values!r}")
+        if axis == "steps":
+            raise InvalidInputError(f"the steps axis has fixed arms {list(STEP_ARMS)} and takes no values")
+
+    def body(stage_dir, digests):
+        rows = ABLATIONS[axis](config) if values is None else ABLATIONS[axis](config, values)
+        outputs = [stage_dir / "rows.jsonl", stage_dir / "rows.series"]
+        storage.write_records(outputs[0], rows)
+        cols = list(rows[0])
+        lines = ["# " + "\t".join(cols), *("\t".join(str(row[c]) for c in cols) for row in rows)]
+        storage.write_text(outputs[1], "\n".join(lines) + "\n")
+        return outputs, None
+
+    fingerprint = storage.fingerprint_payload({"config": config.to_payload(), "axis": axis, "values": values})
+    return _run_stage(root, fingerprint, force, "ablate", f"ablation/{axis}", {}, body)

@@ -10,6 +10,7 @@ closes every open segment in that camera.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,34 +163,30 @@ def filter_segments(segments: Sequence[TrackletSegment], min_len: int) -> list[T
 @dataclass(frozen=True)
 class SegmentStats:
     n_segments: int
-    length_hist: dict[int, int]
-    per_camera: dict[int, int]
-    purity: float
+    length_hist: dict[int, int]  # segment length -> count, by length
+    per_camera: dict[int, int]  # camera id -> count, by camera
 
 
-def segment_stats(segments: Sequence[TrackletSegment], gt_by_det: dict[int, int]) -> SegmentStats:
-    """Diagnostics over mined segments; needs ground-truth access.
-
-    Purity is the fraction of segments whose detections all carry the same
-    ground-truth identity (single-detection segments are pure by definition).
-    """
-    if not segments:
-        return SegmentStats(n_segments=0, length_hist={}, per_camera={}, purity=float("nan"))
-    length_hist: dict[int, int] = {}
-    per_camera: dict[int, int] = {}
-    pure = 0
-    for s in segments:
-        length_hist[len(s)] = length_hist.get(len(s), 0) + 1
-        per_camera[s.camera_id] = per_camera.get(s.camera_id, 0) + 1
-        gts = {gt_by_det[d] for d in s.det_ids}
-        if len(gts) == 1:
-            pure += 1
+def segment_stats(segments: Sequence[TrackletSegment]) -> SegmentStats:
+    """Label-free counts over mined segments, by length and by camera."""
+    lengths = Counter(len(s) for s in segments)
+    cameras = Counter(s.camera_id for s in segments)
     return SegmentStats(
         n_segments=len(segments),
-        length_hist=dict(sorted(length_hist.items())),
-        per_camera=dict(sorted(per_camera.items())),
-        purity=pure / len(segments),
+        length_hist=dict(sorted(lengths.items())),
+        per_camera=dict(sorted(cameras.items())),
     )
+
+
+def segment_purity(segments: Sequence[TrackletSegment], gt_by_det: dict[int, int]) -> float:
+    """Fraction of segments whose detections all carry one ground-truth identity.
+
+    Diagnostics only: it needs ground-truth access.  Single-detection
+    segments are pure by definition; no segments give NaN.
+    """
+    if not segments:
+        return float("nan")
+    return sum(len({gt_by_det[d] for d in s.det_ids}) == 1 for s in segments) / len(segments)
 
 
 def segments_to_rows(segments: Sequence[TrackletSegment], det_index: dict[int, int]) -> list[np.ndarray]:

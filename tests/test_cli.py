@@ -102,19 +102,18 @@ def test_conflicting_rerun_and_force(cfg_file, tmp_path, capsys):
 
 def test_ablate_prints_rows(cfg_file, tmp_path, capsys):
     out = tmp_path / "exp"
-    rc = _run(
-        "ablate", "--config", cfg_file, "--out", out, "--axis", "min_len", "--values", "[2, 3]"
-    )
-    assert rc == 0
-    rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
-    assert [r["min_len"] for r in rows] == [2, 3]
-    assert (out / "ablation" / "min_len.jsonl").exists()
-    assert (out / "ablation" / "min_len.series").exists()
-    rc = _run(
-        "ablate", "--config", cfg_file, "--out", out, "--axis", "min_len", "--values", "[2, 3]"
-    )
-    assert rc == 3
-    capsys.readouterr()
+    argv = ("ablate", "--config", cfg_file, "--out", out, "--axis", "min_len", "--values")
+    assert _run(*argv, "[2, 3]") == 0
+    shown = capsys.readouterr().out
+    assert [json.loads(line)["min_len"] for line in shown.splitlines()] == [2, 3]
+    assert shown == (out / "ablation" / "min_len" / "rows.jsonl").read_text()
+    assert (out / "ablation" / "min_len" / "rows.series").exists()
+    # An identical rerun is a manifest hit and prints the same rows; another
+    # grid over the same directory needs --force.
+    assert _run(*argv, "[2, 3]") == 0
+    assert capsys.readouterr().out == shown
+    assert _run(*argv, "[3]") == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ManifestError"
 
 
 @pytest.mark.parametrize("values", ["[1", "5", "[]"])
@@ -134,7 +133,7 @@ def test_ablate_steps_rejects_values(cfg_file, tmp_path, capsys):
     rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "steps", "--values", "[123]")
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
-    assert not (tmp_path / "o" / "ablation" / "steps.jsonl").exists()
+    assert not (tmp_path / "o" / "ablation").exists()
 
 
 def test_ablate_data_fraction_names_the_slice_too_small_to_train(cfg_file, tmp_path, monkeypatch, capsys):

@@ -14,7 +14,7 @@ import pytest
 from camreid import contrastive as ctr
 from camreid import encoder as enc
 from camreid import pipeline as pl
-from camreid import synth
+from camreid import storage, synth
 from camreid.errors import InvalidInputError, ManifestError
 from camreid.synth import GT_HIDDEN
 
@@ -130,9 +130,13 @@ def test_slice_fraction_rejects_bad_fraction(tiny_cfg, tiny_bench):
             pl.slice_fraction(tiny_cfg, tiny_bench.train, frac)
 
 
-def test_ablation_grid_rejects_unknown_axis(tiny_cfg):
-    with pytest.raises(InvalidInputError):
-        pl.ablation_grid(tiny_cfg, "optimizer")
+def test_stage_ablate_rejects_bad_grids_before_writing(tiny_cfg, tmp_path):
+    # An unknown axis, values for the fixed steps arms, and values that are
+    # not a non-empty list are refused before ablation/ is made.
+    for axis, values in (("optimizer", None), ("steps", [123]), ("min_len", []), ("min_len", 5)):
+        with pytest.raises(InvalidInputError):
+            pl.stage_ablate(tmp_path, tiny_cfg, axis, values)
+    assert not (tmp_path / "ablation").exists()
 
 
 # ---------------------------------------------------------------- stages
@@ -190,10 +194,25 @@ def test_report_is_sane(staged_root):
     assert "mAP" in text and "cmc@1" in text
 
 
-def test_load_config_roundtrip(staged_root, tiny_cfg):
-    assert pl.load_config(staged_root) == tiny_cfg
-    with pytest.raises(ManifestError):
-        pl.load_config(staged_root / "eval")
+def _read_config(root):
+    return pl.PipelineConfig.from_payload(json.loads((root / "config.json").read_text()))
+
+
+def test_config_json_roundtrip(staged_root, tiny_cfg):
+    assert _read_config(staged_root) == tiny_cfg
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_stage_chain_report_matches_run_pipeline(tiny_cfg, tmp_path, precision):
+    # The file-backed stages and the in-memory chain give one report.  Only
+    # the fingerprints differ: they name the arm, which is "cid+tsd+ccr" in
+    # memory and the evaluated checkpoint, "tsd", on disk.
+    config = tiny_cfg.with_overrides(precision=precision)
+    pl.stage_run(tmp_path, config)
+    on_disk = json.loads((tmp_path / "eval" / "report.json").read_text())
+    in_memory = json.loads(pl.run_pipeline(config).report.to_json())
+    assert on_disk.pop("fingerprint") != in_memory.pop("fingerprint")
+    assert on_disk == in_memory
 
 
 def test_write_config_conflict(staged_root, tiny_cfg, tmp_path):
@@ -203,7 +222,7 @@ def test_write_config_conflict(staged_root, tiny_cfg, tmp_path):
     # force writes; run in a scratch dir so the module root stays intact
     pl.write_config(tmp_path, tiny_cfg)
     pl.write_config(tmp_path, other, force=True)
-    assert pl.load_config(tmp_path) == other
+    assert _read_config(tmp_path) == other
 
 
 def test_load_train_table_strips_gt(staged_root, tiny_cfg):
@@ -263,8 +282,6 @@ def test_evaluate_refuses_mismatched_eval_dir(staged_root, tiny_cfg):
 
 
 def test_full_table_alignment_check(tiny_cfg, tmp_path):
-    from camreid import storage
-
     pl.stage_simulate(tmp_path, tiny_cfg)
     tens = storage.read_tensors(tmp_path / "sim" / "observations.rctr")
     tens["det_ids"] = tens["det_ids"][::-1].copy()
@@ -297,8 +314,6 @@ def test_corrupt_detection_line_is_named(tiny_cfg, tmp_path):
 
 
 def test_stage_dying_before_its_manifest_is_rerun(tiny_cfg, tmp_path, monkeypatch):
-    from camreid import storage
-
     def crash(*args, **kwargs):
         raise RuntimeError("killed before the manifest")
 
@@ -321,19 +336,45 @@ def test_stage_dying_before_its_manifest_is_rerun(tiny_cfg, tmp_path, monkeypatc
     assert not pl.stage_train_cid(tmp_path, tiny_cfg)
 
 
-def test_stage_ablate_min_len(tiny_cfg, tmp_path):
-    rows = pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[2, 3])
+def _files(root):
+    """Every file under root with its bytes, inode and modification time."""
+    files = (p for p in sorted(root.rglob("*")) if p.is_file())
+    return {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in files}
+
+
+def test_stage_ablate_min_len(tiny_cfg, tmp_path, monkeypatch):
+    assert pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[2, 3])
+    stage_dir = tmp_path / "ablation" / "min_len"
+    rows = storage.read_records(stage_dir / "rows.jsonl")
     assert [r["min_len"] for r in rows] == [2, 3]
     assert all(0.0 <= r["purity"] <= 1.0 for r in rows)
     assert rows[0]["n_segments"] >= rows[1]["n_segments"]
-    assert (tmp_path / "ablation" / "min_len.jsonl").exists()
-    series = (tmp_path / "ablation" / "min_len.series").read_text().splitlines()
-    assert series[0].startswith("# ")
+    series = (stage_dir / "rows.series").read_text().splitlines()
+    assert series[0] == "# min_len\tn_segments\tpurity\trank1\tmean_ap"
     assert len(series) == 3
+    manifest = storage.read_manifest(stage_dir)
+    assert manifest["stage"] == "ablate"
+    assert manifest["outputs"] == {
+        name: storage.sha256_file(stage_dir / name) for name in ("rows.jsonl", "rows.series")
+    }
+
+    # An identical rerun is a manifest hit: no arm runs and no file is written.
+    def no_arms(*args, **kwargs):
+        pytest.fail("an identical rerun ran the grid again")
+
+    before = _files(tmp_path)
+    monkeypatch.setitem(pl.ABLATIONS, "min_len", no_arms)
+    assert not pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[2, 3])
+    # Other values, or another config, are another run's results.
     with pytest.raises(ManifestError):
-        pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[2, 3])
-    rows2 = pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[2, 3], force=True)
-    assert rows2 == rows
+        pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[3])
+    with pytest.raises(ManifestError):
+        pl.stage_ablate(tmp_path, tiny_cfg.with_overrides(seed=12), "min_len", values=[2, 3])
+    assert _files(tmp_path) == before
+    monkeypatch.undo()
+    assert pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[3], force=True)
+    assert storage.read_records(stage_dir / "rows.jsonl") == rows[1:]
+    assert not pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[3])
 
 
 def test_fit_ccr_handles_missing_cameras(tiny_cfg, tiny_bench):
@@ -353,10 +394,8 @@ def test_fit_ccr_handles_missing_cameras(tiny_cfg, tiny_bench):
     assert max_logit < 1e-3
 
 
-def test_model_size_ablation(tiny_cfg, tiny_bench):
-    rows = pl.ablation_model_size(
-        tiny_cfg, values=((24, 16, 8), (24, 32, 16)), bench=tiny_bench
-    )
+def test_model_size_ablation(tiny_cfg):
+    rows = pl.ablation_model_size(tiny_cfg, values=((24, 16, 8), (24, 32, 16)))
     assert [r["encoder_dims"] for r in rows] == ["24x16x8", "24x32x16"]
     assert rows[0]["n_params"] < rows[1]["n_params"]
     assert rows[0]["n_params"] == 24 * 16 + 16 + 16 * 8 + 8

@@ -257,9 +257,9 @@ def test_segment_stats_purity_hand_cases():
         trk.TrackletSegment(1, 0, (3,), 0),  # singleton: pure by definition
         trk.TrackletSegment(2, 0, (4, 5), 0),  # mixed: gt 7 and 9
     ]
-    stats = trk.segment_stats(segs, gt)
+    stats = trk.segment_stats(segs)
     assert stats.n_segments == 3
-    assert stats.purity == pytest.approx(2.0 / 3.0)
+    assert trk.segment_purity(segs, gt) == pytest.approx(2.0 / 3.0)
     assert stats.length_hist == {1: 1, 2: 2}
     assert stats.per_camera == {0: 3}
 
@@ -270,13 +270,13 @@ def test_segment_stats_single_flip_poisons_whole_segment():
     gt = {i: 0 for i in range(10)}
     gt[9] = 1
     segs = [trk.TrackletSegment(0, 0, tuple(range(10)), 0)]
-    assert trk.segment_stats(segs, gt).purity == 0.0
+    assert trk.segment_purity(segs, gt) == 0.0
 
 
 def test_segment_stats_empty():
-    stats = trk.segment_stats([], {})
-    assert stats.n_segments == 0
-    assert np.isnan(stats.purity)
+    stats = trk.segment_stats([])
+    assert (stats.n_segments, stats.length_hist, stats.per_camera) == (0, {}, {})
+    assert np.isnan(trk.segment_purity([], {}))
 
 
 def test_segments_to_rows_maps_det_ids():
