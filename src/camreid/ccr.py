@@ -59,8 +59,13 @@ def fit_camera_classifier(
 
     Labels must be 0..m-1 with every camera present.  A seeded slice is held
     out to report accuracy; the returned weight is trained on the rest.
+    Floating-point embeddings are read in their own dtype and widened to
+    float64 a batch at a time; widening is exact, so float32 embeddings give
+    the same weight bits as their float64 copy.
     """
-    x = np.asarray(embeddings, dtype=np.float64)
+    x = np.asarray(embeddings)
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
     y = np.asarray(camera_labels, dtype=np.int64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise InvalidInputError("embeddings and camera labels do not align")
@@ -81,27 +86,35 @@ def fit_camera_classifier(
     n_hold = int(round(holdout_frac * x.shape[0]))
     n_hold = min(max(n_hold, 1), x.shape[0] - 1)
     hold, train = perm[:n_hold], perm[n_hold:]
-    xt, yt = x[train], y[train]
+    yt = y[train]
 
     w = 0.01 * rng.standard_normal((m, n))
     onehot = np.eye(m)
-    # One gather buffer for every batch: a fresh batch_size x n float64 array
+    # The training rows are never copied out of ``x``: each batch is gathered
+    # through ``train`` into a buffer of x's dtype and widened into a float64
+    # one.  Both buffers serve every batch, since a fresh batch_size x n array
     # per step would be mapped and faulted in anew each time it is past
     # malloc's mmap threshold.
-    batch = np.empty((min(batch_size, len(xt)), n))
+    rows = min(batch_size, len(train))
+    batch = np.empty((rows, n))
+    gathered = batch if x.dtype == batch.dtype else np.empty((rows, n), dtype=x.dtype)
     for _ in range(epochs):
-        order = rng.permutation(len(xt))
-        for start in range(0, len(xt), batch_size):
+        order = rng.permutation(len(train))
+        for start in range(0, len(train), batch_size):
             idx = order[start : start + batch_size]
-            # mode="clip" lets take write into ``out`` unbuffered; idx is a
-            # slice of a permutation, so no index is ever clipped.
-            xb = np.take(xt, idx, axis=0, out=batch[: len(idx)], mode="clip")
+            k = len(idx)
+            # mode="clip" lets take write into ``out`` unbuffered; train holds
+            # row numbers of x, so no index is ever clipped.
+            np.take(x, train[idx], axis=0, out=gathered[:k], mode="clip")
+            xb = batch[:k]
+            if gathered is not batch:
+                np.copyto(xb, gathered[:k])
             yb = yt[idx]
             probs = _softmax_rows(xb @ w.T)
-            grad = (probs - onehot[yb]).T @ xb / len(idx)
+            grad = (probs - onehot[yb]).T @ xb / k
             w -= lr * grad
 
-    pred = (x[hold] @ w.T).argmax(axis=1)
+    pred = (x[hold].astype(np.float64, copy=False) @ w.T).argmax(axis=1)
     acc = float((pred == y[hold]).mean())
     log.info("camera classifier held-out accuracy: %.3f", acc)
     return CameraClassifier(weight=w, holdout_accuracy=acc)

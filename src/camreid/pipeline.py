@@ -5,8 +5,8 @@ function adds persistence on top for the command line: it names its input
 files and a body that calls the in-memory functions and writes its outputs,
 and one private helper, ``_run_stage``, digests the inputs, skips the stage
 when its manifest already records them, refuses to replace another run's
-results without ``force``, runs the body and writes the manifest.
-``STAGES`` lists the stages of ``run`` in the order of the data flow:
+results without ``force``, runs the body and writes the manifest, with the
+time, faults and peak memory the stage took.  ``STAGES`` lists the stages of ``run`` in the order of the data flow:
 
     simulate -> train-cid -> extract -> trackletize -> train-tsd -> fit-ccr -> evaluate
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,25 +158,22 @@ class Benchmark:
 
 @dataclass
 class PipelineResult:
-    config: PipelineConfig
-    bench: Benchmark
     pair_cid: enc.EncoderPair
     pair_tsd: enc.EncoderPair
-    segments: list[trk.TrackletSegment]
-    classifier: ccr_mod.CameraClassifier
-    projector: ccr_mod.CcrProjector
-    cid_stats: list[ctr.TrainStats]
-    tsd_stats: list[ctr.TrainStats]
     report: ev.EvalReport
-    wall_time: float
+
+
+def _simulate(config: PipelineConfig) -> tuple[synth.DetectionTable, synth.DetectionTable, synth.DetectionTable]:
+    """Generate world and stream in the working dtype; the full table, query and gallery."""
+    config.validate()
+    world = synth.generate_world(config.stream, config.n_identities, config.n_cameras, config.seed)
+    full = synth.simulate_stream(world, config.dtype)
+    return (full, *synth.split_eval(world, full, config.query_frac, config.eval_window_frac))
 
 
 def build_benchmark(config: PipelineConfig) -> Benchmark:
     """Generate world and stream, then carve the fixed evaluation split."""
-    config.validate()
-    world = synth.generate_world(config.stream, config.n_identities, config.n_cameras, config.seed)
-    full = synth.simulate_stream(world).astype(config.dtype)
-    query, gallery = synth.split_eval(world, full, config.query_frac, config.eval_window_frac)
+    full, query, gallery = _simulate(config)
     return Benchmark(
         full=full,
         train=synth.training_table(config.stream, full, config.eval_window_frac),
@@ -307,28 +305,15 @@ def random_pair(config: PipelineConfig) -> enc.EncoderPair:
 
 def run_pipeline(config: PipelineConfig, bench: Benchmark | None = None) -> PipelineResult:
     """Default full run: instance stage, mining, segment stage, reduction, eval."""
-    t0 = time.perf_counter()
     if bench is None:
         bench = build_benchmark(config)
-    pair_cid, cid_stats = train_cid(config, bench.train.observations)
+    pair_cid, _ = train_cid(config, bench.train.observations)
     embeddings = embed_all(pair_cid.query, bench.train.observations)
     segments = mine_segments(config, bench.train, embeddings)
-    pair_tsd, tsd_stats = train_tsd(config, pair_cid, segments, bench.train)
-    classifier, projector = fit_ccr(config, pair_tsd.query, bench.train)
+    pair_tsd, _ = train_tsd(config, pair_cid, segments, bench.train)
+    _, projector = fit_ccr(config, pair_tsd.query, bench.train)
     report = eval_report(config, bench.query, bench.gallery, pair_tsd.query, projector, arm="cid+tsd+ccr")
-    return PipelineResult(
-        config=config,
-        bench=bench,
-        pair_cid=pair_cid,
-        pair_tsd=pair_tsd,
-        segments=segments,
-        classifier=classifier,
-        projector=projector,
-        cid_stats=cid_stats,
-        tsd_stats=tsd_stats,
-        report=report,
-        wall_time=time.perf_counter() - t0,
-    )
+    return PipelineResult(pair_cid=pair_cid, pair_tsd=pair_tsd, report=report)
 
 
 def run_steps_ablation(config: PipelineConfig) -> dict[str, ev.EvalReport]:
@@ -485,8 +470,10 @@ def _run_stage(root: Path, fingerprint: str, force: bool, stage: str, dirname: s
     needs ``force``.  Otherwise the old manifest goes first, so a stage that
     dies before its new one is written is run again, never taken as done;
     then ``body(stage_dir, digests)`` writes the outputs and returns them with
-    the manifest's extra fields.
+    the manifest's extra fields.  The manifest also records what the stage
+    used, from the digests to the body's return (see ``_resources``).
     """
+    wall0, usage0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     stage_dir = root / dirname
     digests = storage.validate_inputs(inputs)
     if storage.manifest_matches(stage_dir, digests, fingerprint):
@@ -498,8 +485,25 @@ def _run_stage(root: Path, fingerprint: str, force: bool, stage: str, dirname: s
     stage_dir.mkdir(parents=True, exist_ok=True)
     manifest.unlink(missing_ok=True)
     outputs, extra = body(stage_dir, digests)
-    storage.write_manifest(stage_dir, stage, digests, outputs, fingerprint, extra=extra)
+    resources = _resources(wall0, usage0)
+    storage.write_manifest(stage_dir, stage, digests, outputs, fingerprint, extra=extra, resources=resources)
     return True
+
+
+def _resources(wall0: float, usage0: resource.struct_rusage) -> dict:
+    """Wall and CPU seconds and minor faults since ``wall0``/``usage0``, and the peak RSS so far.
+
+    ``max_rss_mib`` is the process's high-water mark, so within one ``run``
+    it covers every stage before this one too; a stage run alone in its own
+    process reports its own peak.
+    """
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "wall_s": round(time.perf_counter() - wall0, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime - usage0.ru_utime - usage0.ru_stime, 3),
+        "minflt": usage.ru_minflt - usage0.ru_minflt,
+        "max_rss_mib": round(usage.ru_maxrss / 1024, 1),
+    }
 
 
 def _json(payload: dict) -> str:
@@ -529,16 +533,15 @@ def _checkpoint_inputs(root: Path, name: str) -> dict[str, Path]:
 
 def stage_simulate(root: Path, config: PipelineConfig, force: bool = False) -> bool:
     def body(stage_dir, digests):
-        bench = build_benchmark(config)
-        full = bench.full
+        full, query, gallery = _simulate(config)
         outputs = [
             stage_dir / name
             for name in ("detections.jsonl", "observations.rctr", "query_ids.jsonl", "gallery_ids.jsonl")
         ]
         storage.write_int_records(outputs[0], {c: getattr(full, c) for c in full.INT_COLUMNS})
         storage.write_tensors(outputs[1], {"det_ids": full.det_id, "observations": full.observations})
-        storage.write_int_records(outputs[2], {"det_id": bench.query.det_id})
-        storage.write_int_records(outputs[3], {"det_id": bench.gallery.det_id})
+        storage.write_int_records(outputs[2], {"det_id": query.det_id})
+        storage.write_int_records(outputs[3], {"det_id": gallery.det_id})
         return outputs, {"n_detections": len(full)}
 
     return _run_stage(root, config.fingerprint(), force, "simulate", "sim", {}, body)

@@ -10,7 +10,8 @@ Dtype tags: 0 = float32, 1 = float64, 2 = int64.  Metadata (detections,
 segments, curves) travels as one JSON object per line.  Each pipeline stage
 writes a manifest with sha256 digests of its inputs and outputs plus the
 config fingerprint, which later runs use to validate inputs and to skip
-work that is already done.
+work that is already done, and a ``resources`` record of the time, minor
+faults and peak memory that the stage took.
 
 Every write goes to a temp file beside its target and then replaces the
 target with ``os.replace``, so a process that dies mid-write leaves the
@@ -233,6 +234,7 @@ def write_manifest(
     outputs: list[Path | str],
     config_fingerprint: str,
     extra: dict | None = None,
+    resources: dict | None = None,
 ) -> Path:
     stage_dir = Path(stage_dir)
     manifest = {
@@ -244,6 +246,8 @@ def write_manifest(
     }
     if extra:
         manifest["extra"] = extra
+    if resources:
+        manifest["resources"] = resources
     path = stage_dir / "manifest.json"
     with _replacing(path, "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
@@ -261,7 +265,11 @@ def read_manifest(stage_dir: Path | str) -> dict:
 
 
 def manifest_matches(stage_dir: Path | str, inputs: dict[str, str], config_fingerprint: str) -> bool:
-    """True when a prior run of this stage used identical inputs and config."""
+    """True when a prior run of this stage used identical inputs and config.
+
+    Only the fingerprint, the input digests and the output digests count;
+    ``extra`` and ``resources`` describe that run and are not compared.
+    """
     stage_dir = Path(stage_dir)
     try:
         manifest = read_manifest(stage_dir)

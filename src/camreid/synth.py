@@ -238,19 +238,38 @@ def _observe(
     order.  Each matrix-vector product is one slice of a stacked matmul,
     which makes the BLAS call a lone ``matrix @ vector`` makes, so the rows
     are bit-equal to computing them one at a time.
+
+    The block is built in the returned n x d_obs array and one scratch array
+    of the same shape: the stacked inputs, the pose products and the latent
+    vectors each occupy the front of one of them until the next step
+    overwrites it, and every sum and product is taken in place or through
+    ``out=``.
     """
     cfg = world.config
     n = len(bases)
-    pose = np.matmul(world.pose_basis, np.concatenate(states).reshape(n, cfg.pose_dim, 1))
-    latent = np.concatenate(bases).reshape(n, cfg.d_latent, 1) + pose
-    obs = np.matmul(cam.transform, latent).reshape(n, cfg.d_obs)
+    obs = np.empty((n, cfg.d_obs))
+    scratch = np.empty((n, cfg.d_obs))
+
+    def front(buf: np.ndarray, cols: int) -> np.ndarray:
+        """The first n * cols items of ``buf`` as a C-contiguous n x cols x 1 array."""
+        return buf.reshape(-1)[: n * cols].reshape(n, cols, 1)
+
+    states_3d = front(scratch, cfg.pose_dim)
+    np.stack(states, out=states_3d[..., 0])
+    pose = np.matmul(world.pose_basis, states_3d, out=front(obs, cfg.d_latent))
+    latent = front(scratch, cfg.d_latent)
+    np.stack(bases, out=latent[..., 0])
+    latent += pose
+    np.matmul(cam.transform, latent, out=obs.reshape(n, cfg.d_obs, 1))
     obs += cam.bias
-    obs += np.multiply.outer(np.array(flickers), np.ones(cfg.d_obs) / np.sqrt(cfg.d_obs))
-    obs += cam.noise_sigma * np.concatenate(noises).reshape(n, cfg.d_obs)
+    obs += np.multiply.outer(np.array(flickers), np.ones(cfg.d_obs) / np.sqrt(cfg.d_obs), out=scratch)
+    noise = np.stack(noises, out=scratch)
+    noise *= cam.noise_sigma
+    obs += noise
     return obs
 
 
-def simulate_stream(world: SyntheticWorld) -> DetectionTable:
+def simulate_stream(world: SyntheticWorld, dtype=np.float64) -> DetectionTable:
     """Roll the world forward, one independent RNG stream per camera.
 
     Returns the detection table, gt labels and ghost flags included, with
@@ -261,8 +280,11 @@ def simulate_stream(world: SyntheticWorld) -> DetectionTable:
     ghost events add transient blended detections on top of the real ones.
 
     The frame loop makes every RNG draw and records what each detection's
-    draws gave; a camera's observations are computed from those records
-    once its stream ends (see ``_observe``).
+    draws gave; a camera's observations are computed in float64 from those
+    records once its stream ends (see ``_observe``).  They are stored as
+    ``dtype``: each camera's block is cast as soon as it is made and only
+    the cast blocks are joined, so the result is the float64 stream cast
+    afterwards, bit for bit, without the whole stream ever held in float64.
     """
     cfg = world.config
     n_ids = len(world.identities)
@@ -346,7 +368,7 @@ def simulate_stream(world: SyntheticWorld) -> DetectionTable:
                 )
                 ghost.frames_left -= 1
         if bases:
-            obs_parts.append(_observe(world, cam, bases, states, flickers, noises))
+            obs_parts.append(_observe(world, cam, bases, states, flickers, noises).astype(dtype, copy=False))
 
     frame, camera_id, gt_id, ghost = zip(*rows) if rows else ((),) * 4
     return DetectionTable(
@@ -354,7 +376,7 @@ def simulate_stream(world: SyntheticWorld) -> DetectionTable:
         frame=frame,
         camera_id=camera_id,
         gt_id=gt_id,
-        observations=np.concatenate(obs_parts) if obs_parts else np.zeros((0, cfg.d_obs)),
+        observations=np.concatenate(obs_parts) if obs_parts else np.zeros((0, cfg.d_obs), dtype=dtype),
         ghost=ghost,
     )
 

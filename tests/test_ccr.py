@@ -1,5 +1,7 @@
 """Camera-subspace reduction: projector algebra and logit nullification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,32 @@ def test_fit_camera_classifier_then_reduce_kills_signal():
     max_logit, max_dev = ccr.nullification_check(clf, proj, emb)
     assert max_logit < 1e-8
     assert max_dev < 1e-8
+
+
+def test_fit_camera_classifier_float32_matches_its_float64_copy():
+    # Widening float32 to float64 is exact, so reading the embeddings in
+    # their own dtype must give the same weight bits and hold-out accuracy.
+    rng = np.random.default_rng(37)
+    emb, cams = _clustered(rng, 1500, 16, 5)
+    emb32 = emb.astype(np.float32)
+    narrow = ccr.fit_camera_classifier(emb32, cams, epochs=4, batch_size=128, seed=3)
+    wide = ccr.fit_camera_classifier(emb32.astype(np.float64), cams, epochs=4, batch_size=128, seed=3)
+    assert narrow.weight.dtype == np.float64
+    assert narrow.weight.tobytes() == wide.weight.tobytes()
+    assert narrow.holdout_accuracy == wide.holdout_accuracy
+
+
+def test_fit_camera_classifier_holds_no_float64_copy_of_the_embeddings():
+    rng = np.random.default_rng(38)
+    emb, cams = _clustered(rng, 20000, 128, 6)
+    emb = emb.astype(np.float32)
+    tracemalloc.start()
+    try:
+        ccr.fit_camera_classifier(emb, cams, epochs=1, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < emb.size * 8 / 2
 
 
 def test_fit_camera_classifier_validation():

@@ -52,9 +52,22 @@ def test_run_command_and_skip(cfg_file, tmp_path, capsys):
     assert _run("run", "--config", cfg_file, "--out", out) == 0
     first = capsys.readouterr().out
     assert "mAP" in first
-    # a second invocation hits every manifest and reprints the same report
+    manifests = sorted(out.glob("*/manifest.json"))
+    assert [m.parent.name for m in manifests] == ["ccr", "cid", "embed", "eval", "segments", "sim", "tsd"]
+    for m in manifests:
+        resources = json.loads(m.read_text())["resources"]
+        assert set(resources) == {"wall_s", "cpu_s", "minflt", "max_rss_mib"}
+        assert resources["max_rss_mib"] > 0
+
+    def stage_files():
+        return {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob("*/*")}
+
+    before = stage_files()
+    # a second invocation hits every manifest, so it rewrites no stage file
+    # (manifests and their resources included), and reprints the same report
     assert _run("run", "--config", cfg_file, "--out", out) == 0
     assert capsys.readouterr().out == first
+    assert stage_files() == before
 
 
 def test_missing_config_exits_3(tmp_path, capsys):

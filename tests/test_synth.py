@@ -122,6 +122,19 @@ def test_simulate_stream_matches_per_detection_reference():
     assert table.observations.tobytes() == obs.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_simulate_stream_in_float32_is_the_cast_float64_stream(seed):
+    cfg = dataclasses.replace(SMALL, crossing_prob=0.3, ghost_rate=0.3)
+    world = _world(seed=seed, config=cfg)
+    wide = synth.simulate_stream(world)
+    narrow = synth.simulate_stream(world, np.float32)
+    assert wide.observations.dtype == np.float64
+    assert narrow.observations.dtype == np.float32
+    assert narrow.observations.tobytes() == wide.observations.astype(np.float32).tobytes()
+    for name in synth.DetectionTable.INT_COLUMNS:
+        assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+
+
 def test_world_shapes_and_normalization():
     world = _world()
     assert len(world.identities) == 20
@@ -147,6 +160,7 @@ def test_zero_entry_rate_stream_is_an_empty_table():
     assert len(table) == 0
     assert table.observations.shape == (0, SMALL.d_obs)
     assert all(getattr(table, c).dtype == np.int64 for c in synth.DetectionTable.INT_COLUMNS)
+    assert synth.simulate_stream(_world(config=cfg), np.float32).observations.dtype == np.float32
 
 
 def test_stream_detections_are_well_formed():
