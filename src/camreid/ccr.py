@@ -60,8 +60,9 @@ def fit_camera_classifier(
     Labels must be 0..m-1 with every camera present.  A seeded slice is held
     out to report accuracy; the returned weight is trained on the rest.
     Floating-point embeddings are read in their own dtype and widened to
-    float64 a batch at a time; widening is exact, so float32 embeddings give
-    the same weight bits as their float64 copy.
+    float64 a batch at a time, for training and for the hold-out score;
+    widening is exact, so float32 embeddings give the same weight bits and
+    accuracy as their float64 copy.
     """
     x = np.asarray(embeddings)
     if x.dtype.kind != "f":
@@ -86,36 +87,38 @@ def fit_camera_classifier(
     n_hold = int(round(holdout_frac * x.shape[0]))
     n_hold = min(max(n_hold, 1), x.shape[0] - 1)
     hold, train = perm[:n_hold], perm[n_hold:]
-    yt = y[train]
 
     w = 0.01 * rng.standard_normal((m, n))
     onehot = np.eye(m)
-    # The training rows are never copied out of ``x``: each batch is gathered
-    # through ``train`` into a buffer of x's dtype and widened into a float64
+    # No row set is copied out of ``x``: each batch of training or hold-out
+    # rows is gathered into a buffer of x's dtype and widened into a float64
     # one.  Both buffers serve every batch, since a fresh batch_size x n array
     # per step would be mapped and faulted in anew each time it is past
     # malloc's mmap threshold.
     rows = min(batch_size, len(train))
     batch = np.empty((rows, n))
     gathered = batch if x.dtype == batch.dtype else np.empty((rows, n), dtype=x.dtype)
+
+    def widened(idx: np.ndarray) -> np.ndarray:
+        k = len(idx)
+        # mode="clip" lets take write into ``out`` unbuffered; idx holds row
+        # numbers of x, so no index is ever clipped.
+        np.take(x, idx, axis=0, out=gathered[:k], mode="clip")
+        if gathered is not batch:
+            np.copyto(batch[:k], gathered[:k])
+        return batch[:k]
+
     for _ in range(epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(train), batch_size):
-            idx = order[start : start + batch_size]
-            k = len(idx)
-            # mode="clip" lets take write into ``out`` unbuffered; train holds
-            # row numbers of x, so no index is ever clipped.
-            np.take(x, train[idx], axis=0, out=gathered[:k], mode="clip")
-            xb = batch[:k]
-            if gathered is not batch:
-                np.copyto(xb, gathered[:k])
-            yb = yt[idx]
+            idx = train[order[start : start + batch_size]]
+            xb = widened(idx)
             probs = _softmax_rows(xb @ w.T)
-            grad = (probs - onehot[yb]).T @ xb / k
+            grad = (probs - onehot[y[idx]]).T @ xb / len(idx)
             w -= lr * grad
 
-    pred = (x[hold].astype(np.float64, copy=False) @ w.T).argmax(axis=1)
-    acc = float((pred == y[hold]).mean())
+    batches = (hold[s : s + rows] for s in range(0, n_hold, rows))
+    acc = sum(int(((widened(idx) @ w.T).argmax(axis=1) == y[idx]).sum()) for idx in batches) / n_hold
     log.info("camera classifier held-out accuracy: %.3f", acc)
     return CameraClassifier(weight=w, holdout_accuracy=acc)
 

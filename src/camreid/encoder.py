@@ -116,18 +116,19 @@ class ForwardCache:
 
     Built once by `for_rows` and filled by every pass that is given it, so a
     training stage or an embedding loop maps its activations once instead of
-    once per batch.  After a pass of n rows, ``inputs`` and ``out`` describe
-    that pass: ``inputs[0]`` is the batch itself and ``out`` holds its unit
-    rows, in the cache's own buffer or in the slice the caller gave.  Each
-    buffer is filled by the call that made a fresh array before, with
-    ``out=``, so the results are the same bits.
+    once per batch; `backward` adds its ``deltas`` on its first call, so a
+    cache that only embeds never holds them.  After a pass of n rows,
+    ``inputs`` and ``out`` describe that pass: ``inputs[0]`` is the batch
+    itself and ``out`` holds its unit rows, in the cache's own buffer or in
+    the slice the caller gave.  Each buffer is filled by the call that made
+    a fresh array before, with ``out=``, so the results are the same bits.
     """
 
     hidden: list[np.ndarray]  # each hidden layer's rectified output
     z: np.ndarray  # the last layer's output, before normalization
     norms: np.ndarray  # row norms of z, floored
     unit: np.ndarray  # unit-norm embeddings, unless the caller gives ``out``
-    deltas: list[np.ndarray]  # `backward`'s gradient w.r.t. each layer's output
+    deltas: list[np.ndarray] = field(default_factory=list)  # `backward`'s gradient w.r.t. each layer's output
     inputs: list[np.ndarray] = field(default_factory=list)  # the input of each layer
     out: np.ndarray | None = None
 
@@ -139,7 +140,6 @@ class ForwardCache:
             z=np.empty((rows, dims[-1]), dtype=dtype),
             norms=np.empty((rows, 1), dtype=dtype),
             unit=np.empty((rows, dims[-1]), dtype=dtype),
-            deltas=[np.empty((rows, d), dtype=dtype) for d in dims[1:]],
         )
 
     @property
@@ -219,6 +219,8 @@ def backward(
     g = np.asarray(grad_embeddings, dtype=params.dtype)
     if g.shape != y.shape:
         raise InvalidInputError("grad_embeddings shape does not match embeddings")
+    if not cache.deltas:
+        cache.deltas = [np.empty((len(cache.z), d), dtype=params.dtype) for d in params.dims[1:]]
     dz = np.multiply(y, g, out=cache.deltas[-1][:n])
     inner = np.sum(dz, axis=1, keepdims=True)
     np.multiply(y, inner, out=dz)

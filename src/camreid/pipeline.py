@@ -14,8 +14,8 @@ time, faults and peak memory the stage took.  ``STAGES`` lists the stages of ``r
 keyed by the config, the axis and the values as given.
 
 Every stage that reads the detection table declares both sim/ files as
-inputs, and the table is parsed at most once per process for each pair of
-their digests.
+inputs.  The table is parsed at most once per process for each pair of their
+digests and held once, split into the training and evaluation windows.
 
 Ground-truth identity labels exist only in the simulator's output and the
 evaluation split; every table handed to a training stage has them stripped.
@@ -149,7 +149,6 @@ class PipelineConfig:
 
 @dataclass
 class Benchmark:
-    full: synth.DetectionTable  # every detection, gt included; what the simulate stage writes
     train: synth.DetectionTable  # gt stripped
     query: synth.DetectionTable
     gallery: synth.DetectionTable
@@ -175,7 +174,6 @@ def build_benchmark(config: PipelineConfig) -> Benchmark:
     """Generate world and stream, then carve the fixed evaluation split."""
     full, query, gallery = _simulate(config)
     return Benchmark(
-        full=full,
         train=synth.training_table(config.stream, full, config.eval_window_frac),
         query=query,
         gallery=gallery,
@@ -230,8 +228,7 @@ def train_tsd(
 ) -> tuple[enc.EncoderPair, list[ctr.TrainStats]]:
     """Segment-discrimination stage; starts from the given weights, fresh bank."""
     cc = config.contrastive
-    det_index = {int(d): i for i, d in enumerate(train.det_id)}
-    rows = trk.segments_to_rows(segments, det_index)
+    rows = trk.segments_to_rows(segments, train.det_id)
     pair = enc.EncoderPair(
         query=init_pair.query.copy(), key=init_pair.query.copy(), momentum=cc.key_momentum
     )
@@ -516,7 +513,9 @@ def write_config(root: Path, config: PipelineConfig, force: bool = False) -> Non
     payload = config.to_payload()
     if path.exists():
         existing = json.loads(path.read_text())
-        if existing != payload and not force:
+        if existing == payload:
+            return
+        if not force:
             raise ManifestError(f"{path} disagrees with the requested config; pass --force")
     storage.write_text(path, _json(payload))
 
@@ -547,57 +546,66 @@ def stage_simulate(root: Path, config: PipelineConfig, force: bool = False) -> b
     return _run_stage(root, config.fingerprint(), force, "simulate", "sim", {}, body)
 
 
-# The parsed detection table of the last pair of sim/ file digests seen.  It
-# is process-wide so the stages of one `run` share one parse; keyed by file
-# content, it never serves a stale table, and its columns are read-only, so
-# no caller can change what the next one gets.
-_table_cache: dict[tuple[str, str], synth.DetectionTable] = {}
+# The sim/ files of the last pair of digests seen, parsed once and split into the training window
+# (gt stripped) and the evaluation window; the whole table is not kept.  Process-wide, so the stages
+# of one `run` share one parse and one copy; keyed by file content and split point, it never serves
+# a stale table, and its columns are read-only, so no caller can change what the next one gets.
+_split_cache: dict[tuple, tuple[synth.DetectionTable, synth.DetectionTable]] = {}
 
 
-def load_full_table(
-    root: Path, config: PipelineConfig, digests: dict[str, str] | None = None
-) -> synth.DetectionTable:
-    """Full detection table with gt labels; evaluation-side readers only.
+def _load_split(root: Path, config: PipelineConfig, digests: dict[str, str] | None) -> tuple[synth.DetectionTable, ...]:
+    """The training and evaluation windows of the detection table, cached.
 
     ``digests`` are those of the two sim/ files (see ``_sim_inputs``); they
     are taken here when the caller does not have them.
     """
     if digests is None:
         digests = storage.validate_inputs(_sim_inputs(root))
-    key = (digests["detections"], digests["observations"])
-    if key not in _table_cache:
+    start = synth.eval_window_start(config.stream, config.eval_window_frac)
+    key = (digests["detections"], digests["observations"], start)
+    if key not in _split_cache:
         columns = storage.read_int_records(root / "sim" / "detections.jsonl", synth.DetectionTable.INT_COLUMNS)
         tens = storage.read_tensors(root / "sim" / "observations.rctr")
         if not np.array_equal(columns["det_id"], tens["det_ids"]):
             raise ManifestError("detections.jsonl and observations.rctr disagree on det_ids")
-        for column in (*columns.values(), tens["observations"]):
-            column.flags.writeable = False
-        _table_cache.clear()
-        _table_cache[key] = synth.DetectionTable(observations=tens["observations"], **columns)
-    return _table_cache[key].astype(config.dtype)
+        full = synth.DetectionTable(observations=tens["observations"], **columns)
+        split = (synth.training_table(config.stream, full, config.eval_window_frac), full.select(full.frame >= start))
+        for table in split:
+            for f in dataclasses.fields(table):
+                getattr(table, f.name).flags.writeable = False
+        _split_cache.clear()
+        _split_cache[key] = split
+    return _split_cache[key]
+
+
+def _rows_of(det_id: np.ndarray, ids: np.ndarray, source: str, table: str) -> np.ndarray:
+    """Rows of the increasing ``det_id`` column that hold ``ids``; every id must be there."""
+    rows = np.searchsorted(det_id, ids)
+    missing = rows == len(det_id)
+    missing[~missing] = det_id[rows[~missing]] != ids[~missing]
+    if missing.any():
+        raise ManifestError(f"{source} names det_id {ids[missing][0]}, which is not in {table}")
+    return rows
 
 
 def load_train_table(
     root: Path, config: PipelineConfig, digests: dict[str, str] | None = None
 ) -> synth.DetectionTable:
-    """Training-window detections with gt stripped; the training stages' reader."""
-    return synth.training_table(config.stream, load_full_table(root, config, digests), config.eval_window_frac)
+    """Training-window detections with gt stripped, as the cached read-only arrays; the training stages' reader."""
+    return _load_split(root, config, digests)[0].astype(config.dtype)
 
 
 def load_eval_split(
     root: Path, config: PipelineConfig, digests: dict[str, str] | None = None
 ) -> tuple[synth.DetectionTable, synth.DetectionTable]:
-    full = load_full_table(root, config, digests)
-    row_of = {int(d): i for i, d in enumerate(full.det_id)}
+    """Query and gallery, with gt, selected from the evaluation window by sim/'s id lists."""
+    window = _load_split(root, config, digests)[1]
 
-    def rows(name: str) -> np.ndarray:
-        ids = storage.read_int_records(root / "sim" / name, ["det_id"])["det_id"].tolist()
-        unknown = [d for d in ids if d not in row_of]
-        if unknown:
-            raise ManifestError(f"sim/{name} names det_id {unknown[0]}, which is not in the detection table")
-        return np.array([row_of[d] for d in ids], dtype=np.int64)
+    def select(name: str) -> synth.DetectionTable:
+        ids = storage.read_int_records(root / "sim" / name, ["det_id"])["det_id"]
+        return window.select(_rows_of(window.det_id, ids, f"sim/{name}", "the evaluation window")).astype(config.dtype)
 
-    return full.select(rows("query_ids.jsonl")), full.select(rows("gallery_ids.jsonl"))
+    return select("query_ids.jsonl"), select("gallery_ids.jsonl")
 
 
 def save_checkpoint(
@@ -640,8 +648,11 @@ def load_checkpoint(stage_dir: Path) -> enc.EncoderPair:
 
 def stage_train_cid(root: Path, config: PipelineConfig, force: bool = False) -> bool:
     def body(stage_dir, digests):
-        pair, stats = train_cid(config, load_train_table(root, config, digests).observations)
-        return save_checkpoint(stage_dir, pair, stats, config, "cid"), None
+        obs = load_train_table(root, config, digests).observations
+        pair, stats = train_cid(config, obs)
+        # cid_epoch's batches; every one steps the optimizer but the first, which fills the fresh bank
+        steps = config.contrastive.epochs_cid * (len(obs) // config.contrastive.batch_size) - 1
+        return save_checkpoint(stage_dir, pair, stats, config, "cid"), {"rows": len(obs), "steps": steps}
 
     return _run_stage(root, config.fingerprint(), force, "train-cid", "cid", _sim_inputs(root), body)
 
@@ -652,7 +663,7 @@ def stage_extract(root: Path, config: PipelineConfig, force: bool = False, check
         emb = embed_all(load_checkpoint(root / checkpoint).query, train.observations)
         path = stage_dir / "embeddings.rctr"
         storage.write_tensors(path, {"det_ids": train.det_id, "embeddings": emb})
-        return [path], None
+        return [path], {"rows": len(emb)}
 
     inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, checkpoint)}
     return _run_stage(root, config.fingerprint(), force, "extract", "embed", inputs, body)
@@ -686,7 +697,7 @@ def stage_trackletize(root: Path, config: PipelineConfig, force: bool = False) -
             "min_len": config.min_len,
         }
         storage.write_text(outputs[1], _json(summary))
-        return outputs, None
+        return outputs, {"segments": len(segments)}
 
     inputs = {**_sim_inputs(root), "embeddings": root / "embed" / "embeddings.rctr"}
     return _run_stage(root, config.fingerprint(), force, "trackletize", "segments", inputs, body)
@@ -709,12 +720,13 @@ def stage_train_tsd(root: Path, config: PipelineConfig, force: bool = False) -> 
     def body(stage_dir, digests):
         train = load_train_table(root, config, digests)
         segments = load_segments(root)
-        known = set(train.det_id.tolist())
-        unknown = [d for s in segments for d in s.det_ids if d not in known]
-        if unknown:
-            raise ManifestError(f"segments/segments.jsonl names det_id {unknown[0]}, which is not in the training table")
+        ids = np.array([d for s in segments for d in s.det_ids], dtype=np.int64)
+        _rows_of(train.det_id, ids, "segments/segments.jsonl", "the training table")
         pair, stats = train_tsd(config, load_checkpoint(root / "cid"), segments, train)
-        return save_checkpoint(stage_dir, pair, stats, config, "tsd"), None
+        # tsd_epoch's batches, from the rows of segments it can draw a pair from; the first fills the bank
+        rows = sum(len(s.det_ids) for s in segments if len(s.det_ids) >= 2)
+        steps = config.contrastive.epochs_tsd * max(rows // config.contrastive.batch_size, 1) - 1
+        return save_checkpoint(stage_dir, pair, stats, config, "tsd"), {"rows": rows, "steps": steps}
 
     inputs = {
         **_sim_inputs(root),
@@ -740,7 +752,7 @@ def stage_fit_ccr(root: Path, config: PipelineConfig, force: bool = False) -> bo
             "holdout_accuracy": classifier.holdout_accuracy,
         }
         storage.write_text(outputs[1], _json(meta))
-        return outputs, None
+        return outputs, {"rows": len(train)}
 
     inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, "tsd")}
     return _run_stage(root, config.fingerprint(), force, "fit-ccr", "ccr", inputs, body)
@@ -772,7 +784,7 @@ def stage_evaluate(
         outputs = [stage_dir / "report.json", stage_dir / "report.txt"]
         storage.write_text(outputs[0], report.to_json())
         storage.write_text(outputs[1], report.to_text() + "\n")
-        return outputs, {"checkpoint": checkpoint, "use_ccr": use_ccr}
+        return outputs, {"checkpoint": checkpoint, "use_ccr": use_ccr, "queries": len(query), "gallery": len(gallery)}
 
     inputs = {
         **_sim_inputs(root),

@@ -189,8 +189,10 @@ def segment_purity(segments: Sequence[TrackletSegment], gt_by_det: dict[int, int
     return sum(len({gt_by_det[d] for d in s.det_ids}) == 1 for s in segments) / len(segments)
 
 
-def segments_to_rows(segments: Sequence[TrackletSegment], det_index: dict[int, int]) -> list[np.ndarray]:
-    """Translate segment det_ids into observation-matrix row arrays."""
-    return [
-        np.array([det_index[d] for d in s.det_ids], dtype=np.int64) for s in segments
-    ]
+def segments_to_rows(segments: Sequence[TrackletSegment], det_id: np.ndarray) -> list[np.ndarray]:
+    """Translate segment det_ids into rows of the increasing ``det_id`` column."""
+    ids = np.array([d for s in segments for d in s.det_ids], dtype=np.int64)
+    rows = np.searchsorted(det_id, ids)
+    if np.any(rows == len(det_id)) or not np.array_equal(det_id[rows], ids):
+        raise InvalidInputError("a segment names a det_id that is not in the table")
+    return np.split(rows, np.cumsum([len(s.det_ids) for s in segments])[:-1]) if segments else []

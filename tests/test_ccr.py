@@ -160,6 +160,62 @@ def test_fit_camera_classifier_holds_no_float64_copy_of_the_embeddings():
     assert peak < emb.size * 8 / 2
 
 
+def _parent_formula_fit(x, y, epochs, lr, batch_size, holdout_frac, seed):
+    """The classifier as written before batching: float64 copies of the training and hold-out rows."""
+    x = np.asarray(x, dtype=np.float64)
+    m = int(y.max()) + 1
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 515])))
+    perm = rng.permutation(x.shape[0])
+    n_hold = min(max(int(round(holdout_frac * x.shape[0])), 1), x.shape[0] - 1)
+    hold, train = perm[:n_hold], perm[n_hold:]
+    xt, yt = x[train], y[train]
+    w = 0.01 * rng.standard_normal((m, x.shape[1]))
+    onehot = np.eye(m)
+    for _ in range(epochs):
+        order = rng.permutation(len(train))
+        for start in range(0, len(train), batch_size):
+            idx = order[start : start + batch_size]
+            xb = xt[idx]
+            probs = ccr._softmax_rows(xb @ w.T)
+            w -= lr * ((probs - onehot[yt[idx]]).T @ xb / len(idx))
+    return w, float(((x[hold] @ w.T).argmax(axis=1) == y[hold]).mean())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_camera_classifier_matches_the_unbatched_formula(dtype, seed):
+    # 6011 rows hold out 601, not a multiple of the 512-row batch, so the
+    # hold-out is scored in a full and a short batch.  Overlapping clusters
+    # keep the accuracy below 1, so a miscounted batch would show.
+    rng = np.random.default_rng(40 + seed)
+    emb, cams = _clustered(rng, 6011, 16, 5)
+    emb = (emb + 6.0 * rng.standard_normal(emb.shape)).astype(dtype)
+    got = ccr.fit_camera_classifier(emb, cams, epochs=2, seed=seed)
+    w, acc = _parent_formula_fit(emb, cams, epochs=2, lr=0.5, batch_size=512, holdout_frac=0.1, seed=seed)
+    assert got.weight.tobytes() == w.tobytes()
+    assert got.holdout_accuracy == acc
+    assert 0.2 < acc < 1.0
+
+
+def test_fit_camera_classifier_scores_the_holdout_without_a_float64_copy():
+    # 20011 rows hold out 2001 (not a multiple of 512); scoring them a batch
+    # at a time through the training buffers stays below one float64 copy
+    # of the hold-out rows, which the unbatched score made on top of the
+    # float32 rows it gathered.
+    rng = np.random.default_rng(39)
+    emb, cams = _clustered(rng, 20011, 128, 6)
+    emb = emb.astype(np.float32)
+    holdout_f64 = 2001 * 128 * 8
+    tracemalloc.start()
+    try:
+        clf = ccr.fit_camera_classifier(emb, cams, epochs=1, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clf.holdout_accuracy > 0.9
+    assert peak < holdout_f64
+
+
 def test_fit_camera_classifier_validation():
     rng = np.random.default_rng(37)
     x = rng.standard_normal((10, 4))

@@ -60,11 +60,13 @@ def test_run_command_and_skip(cfg_file, tmp_path, capsys):
         assert resources["max_rss_mib"] > 0
 
     def stage_files():
-        return {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob("*/*")}
+        paths = [out / "config.json", *out.glob("*/*")]
+        return {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in paths}
 
     before = stage_files()
-    # a second invocation hits every manifest, so it rewrites no stage file
-    # (manifests and their resources included), and reprints the same report
+    # a second invocation hits every manifest, so it rewrites no file: not
+    # config.json, whose payload is unchanged, nor any stage file (manifests
+    # and their resources included); and it reprints the same report
     assert _run("run", "--config", cfg_file, "--out", out) == 0
     assert capsys.readouterr().out == first
     assert stage_files() == before
@@ -253,10 +255,29 @@ def _name_unknown_query(path):
     path.write_text(json.dumps({"det_id": 987654321}) + "\n")
 
 
-def _name_unknown_segment_member(path):
+def _name_training_window_query(path):
+    # det_id 0 is camera 0's first frame, a training detection
+    path.write_text(json.dumps({"det_id": 0}) + "\n")
+
+
+def _name_one_past_the_table(path):
+    n_detections = len((path.parent / "detections.jsonl").read_text().splitlines())
+    path.write_text(path.read_text() + json.dumps({"det_id": n_detections}) + "\n")
+
+
+def _set_first_segment_member(path, det_id):
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    records[0]["det_ids"][0] = 987654321
+    records[0]["det_ids"][0] = det_id
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def _name_unknown_segment_member(path):
+    _set_first_segment_member(path, 987654321)
+
+
+def _name_evaluation_window_segment_member(path):
+    query_ids = path.parent.parent / "sim" / "query_ids.jsonl"
+    _set_first_segment_member(path, json.loads(query_ids.read_text().splitlines()[0])["det_id"])
 
 
 def _cut_in_half(path):
@@ -276,11 +297,22 @@ _CHAIN = ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-c
     "target, corrupt, command, named",
     [
         ("sim/query_ids.jsonl", _name_unknown_query, "evaluate", "987654321"),
+        ("sim/query_ids.jsonl", _name_training_window_query, "evaluate", "det_id 0, which is not in the evaluation"),
+        ("sim/gallery_ids.jsonl", _name_one_past_the_table, "evaluate", "gallery_ids.jsonl names det_id"),
         ("segments/segments.jsonl", _name_unknown_segment_member, "train-tsd", "987654321"),
+        ("segments/segments.jsonl", _name_evaluation_window_segment_member, "train-tsd", "not in the training table"),
         ("cid/checkpoint.rctr", _cut_in_half, "extract", "checkpoint.rctr"),
         ("segments/segments.jsonl", _cut_first_record, "train-tsd", "segments.jsonl"),
     ],
-    ids=["unknown-query-id", "unknown-segment-id", "truncated-checkpoint", "truncated-segments"],
+    ids=[
+        "unknown-query-id",
+        "training-window-query-id",
+        "past-the-table-gallery-id",
+        "unknown-segment-id",
+        "evaluation-window-segment-id",
+        "truncated-checkpoint",
+        "truncated-segments",
+    ],
 )
 def test_corrupt_stage_input_exits_3(cfg_file, tmp_path, capsys, target, corrupt, command, named):
     # A stage input that was damaged after its stage wrote it is a manifest

@@ -5,6 +5,7 @@ so they exercise persistence, manifest skip logic, and conflict handling
 rather than retrieval quality.
 """
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -233,6 +234,27 @@ def test_load_train_table_strips_gt(staged_root, tiny_cfg):
     assert train.frame.max() < window
 
 
+def test_load_train_table_is_held_once(staged_root, tiny_cfg):
+    # A second reader in the process gets the cached, read-only arrays, not
+    # a copy; they are the training window of the full simulated table.
+    digests = storage.validate_inputs(pl._sim_inputs(staged_root))
+    first = pl.load_train_table(staged_root, tiny_cfg, digests)
+    tracemalloc.start()
+    try:
+        second = pl.load_train_table(staged_root, tiny_cfg, digests)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    want = synth.training_table(tiny_cfg.stream, pl._simulate(tiny_cfg)[0], tiny_cfg.eval_window_frac)
+    for f in dataclasses.fields(synth.DetectionTable):
+        got = getattr(second, f.name)
+        assert np.shares_memory(got, getattr(first, f.name))
+        assert not got.flags.writeable
+        assert got.dtype == getattr(want, f.name).dtype
+        assert np.array_equal(got, getattr(want, f.name))
+
+
 def test_load_eval_split_matches_benchmark(staged_root, tiny_cfg, tiny_bench):
     query, gallery = pl.load_eval_split(staged_root, tiny_cfg)
     np.testing.assert_array_equal(query.det_id, tiny_bench.query.det_id)
@@ -281,13 +303,46 @@ def test_evaluate_refuses_mismatched_eval_dir(staged_root, tiny_cfg):
         pl.stage_evaluate(staged_root, tiny_cfg, checkpoint="cid", use_ccr=False)
 
 
+def test_stage_manifests_record_their_counts(tiny_cfg, tmp_path, monkeypatch):
+    # Each stage's manifest `extra` carries its counts; the optimizer steps
+    # are counted here at `sgd_step`.  `extra` is not part of the match, so
+    # a manifest whose counts were edited is still a hit.
+    calls = []
+    sgd_step = enc.sgd_step
+    monkeypatch.setattr(enc, "sgd_step", lambda *a: calls.append(1) or sgd_step(*a))
+    steps = {}
+    for name in pl.STAGES:
+        before = len(calls)
+        assert getattr(pl, "stage_" + name.replace("-", "_"))(tmp_path, tiny_cfg)
+        steps[name] = len(calls) - before
+    extra = {m.parent.name: json.loads(m.read_text()).get("extra") for m in tmp_path.glob("*/manifest.json")}
+    train = pl.load_train_table(tmp_path, tiny_cfg)
+    segments = pl.load_segments(tmp_path)
+    query, gallery = pl.load_eval_split(tmp_path, tiny_cfg)
+    assert extra == {
+        "sim": {"n_detections": len((tmp_path / "sim" / "detections.jsonl").read_text().splitlines())},
+        "cid": {"rows": len(train), "steps": steps["train-cid"]},
+        "embed": {"rows": len(train)},
+        "segments": {"segments": len(segments)},
+        "tsd": {"rows": sum(len(s.det_ids) for s in segments), "steps": steps["train-tsd"]},
+        "ccr": {"rows": len(train)},
+        "eval": {"checkpoint": "tsd", "use_ccr": True, "queries": len(query), "gallery": len(gallery)},
+    }
+    assert steps["train-cid"] > 0 and steps["train-tsd"] > 0
+    manifest = tmp_path / "eval" / "manifest.json"
+    edited = json.loads(manifest.read_text())
+    edited["extra"]["queries"] += 1
+    manifest.write_text(json.dumps(edited))
+    assert not pl.stage_evaluate(tmp_path, tiny_cfg)
+
+
 def test_full_table_alignment_check(tiny_cfg, tmp_path):
     pl.stage_simulate(tmp_path, tiny_cfg)
     tens = storage.read_tensors(tmp_path / "sim" / "observations.rctr")
     tens["det_ids"] = tens["det_ids"][::-1].copy()
     storage.write_tensors(tmp_path / "sim" / "observations.rctr", tens)
     with pytest.raises(ManifestError):
-        pl.load_full_table(tmp_path, tiny_cfg)
+        pl.load_train_table(tmp_path, tiny_cfg)
 
 
 def test_changed_detections_rerun_extract(tiny_cfg, tmp_path):
@@ -418,12 +473,17 @@ def test_embed_all_matches_concatenated_forward_passes(dtype, n_rows):
     assert np.array_equal(got, want)
 
 
-def test_embed_all_allocates_the_result_and_one_batch_of_buffers():
+def test_embed_all_allocates_the_result_and_one_batch_of_buffers(monkeypatch):
     # Twelve batches must not cost twelve batches of activations, nor a
-    # second copy of the result; 64 KiB covers the small objects.
+    # second copy of the result, nor `backward`'s deltas; one batch of
+    # forward activations is the hidden layer, z, its norms and the unit
+    # rows.  64 KiB covers the small objects.
     params = enc.init_encoder((64, 256, 128), seed=0).query
     obs = np.random.default_rng(0).standard_normal((12 * 512, 64)).astype(np.float32)
-    one_batch = enc.ForwardCache.for_rows(params, 512).nbytes
+    one_batch = 512 * (256 + 128 + 1 + 128) * 4
+    caches = []
+    forward = enc.forward
+    monkeypatch.setattr(enc, "forward", lambda p, x, cache, out: caches.append(cache) or forward(p, x, cache, out))
     pl.embed_all(params, obs, batch_size=512)
     tracemalloc.start()
     try:
@@ -432,3 +492,4 @@ def test_embed_all_allocates_the_result_and_one_batch_of_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= result.nbytes + one_batch + (64 << 10)
+    assert len(caches) == 24 and all(cache.deltas == [] for cache in caches)

@@ -281,6 +281,6 @@ def test_segment_stats_empty():
 
 def test_segments_to_rows_maps_det_ids():
     segs = [trk.TrackletSegment(0, 0, (30, 10), 0)]
-    rows = trk.segments_to_rows(segs, {10: 0, 20: 1, 30: 2})
+    rows = trk.segments_to_rows(segs, np.array([10, 20, 30]))
     assert len(rows) == 1
     assert rows[0].tolist() == [2, 0]
