@@ -14,6 +14,8 @@ tracklet segment.
 
 from __future__ import annotations
 
+import os
+import re
 import time
 from dataclasses import dataclass
 
@@ -24,6 +26,8 @@ from . import synth
 from .errors import InvalidInputError, TrainingDivergenceError
 
 _UNIT_TOL = 1e-3
+_SPLIT_MIN_PRODUCTS = 1 << 25  # multiply-adds in a step's bank product from which a split pays
+_worker = None  # (pid, executor) of the process's one step worker, see `_step_worker`
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,33 @@ class StepWorkspace:
         return sum(a.nbytes for a in arrays) + self.query.nbytes + self.key.nbytes
 
 
+def _step_workers(rows: int, keys: int, dim: int) -> int:
+    """Threads a step of ``rows`` queries against ``keys`` bank keys of ``dim`` uses: 1 or 2.
+
+    Two when the process has two CPUs, BLAS one thread (read as OpenBLAS
+    reads it), and the step is big enough for the worker's share to pay for
+    the hand-off; a smaller share may take another BLAS kernel, other bits.
+    """
+    if rows < 72 or rows * keys * dim < _SPLIT_MIN_PRODUCTS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        lead = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
+        if lead and int(lead[1]) > 0:
+            return 2 if int(lead[1]) == 1 and cpus > 1 else 1
+    return 1
+
+
+def _step_worker():
+    """The process's one step worker thread, made on first use and again in a forked child."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="camreid-step"))
+    return _worker[1]
+
+
 def _batch_info_nce(
     q: np.ndarray,
     k_pos: np.ndarray,
@@ -157,7 +188,11 @@ def _batch_info_nce(
     probabilities are left there.  ``grad_q`` and ``scratch`` (at least B
     rows of q's width, allocated when not given) take the gradient and the
     products of q and k+ rows; the gradient is returned as B rows of
-    ``grad_q``.
+    ``grad_q``.  Each row's results depend on that row alone, so with two
+    `_step_workers` the step worker, which also draws the next batch, takes
+    about a third of the rows, down to a multiple of 24: OpenBLAS's float64
+    AVX-512 kernel works in blocks of 24 rows, and a split between blocks
+    leaves every row its bits.
     """
     if temperature <= 0:
         raise InvalidInputError("temperature must be > 0")
@@ -166,23 +201,37 @@ def _batch_info_nce(
     b = q.shape[0]
     scratch = np.empty(q.shape, dtype=np.result_type(q, k_pos)) if scratch is None else scratch[:b]
     grad_q = np.empty(q.shape, dtype=np.result_type(logits, negatives)) if grad_q is None else grad_q[:b]
-    np.multiply(q, k_pos, out=scratch)
-    l_pos = np.sum(scratch, axis=1, keepdims=True) / temperature
     logits = logits[:b, : negatives.shape[0] + 1]
-    logits[:, :1] = l_pos
-    np.matmul(q, negatives.T, out=logits[:, 1:])
-    logits[:, 1:] /= temperature
-    m = logits.max(axis=1, keepdims=True)
-    logits -= m
-    p = np.exp(logits, out=logits)
-    z = p.sum(axis=1, keepdims=True)
-    losses = -(l_pos - m) + np.log(z)
-    p /= z
-    # d(mean loss)/dq_i = ((p_pos - 1) k+_i + sum_j p_ij k-_j) / (t B)
-    np.matmul(p[:, 1:], negatives, out=grad_q)
-    np.multiply(p[:, :1] - 1.0, k_pos, out=scratch)
-    grad_q += scratch
-    grad_q /= temperature * b
+    losses = np.empty((b, 1), dtype=np.result_type(scratch, logits))
+
+    def rows(lo: int, hi: int) -> None:
+        s, p = scratch[lo:hi], logits[lo:hi]
+        np.multiply(q[lo:hi], k_pos[lo:hi], out=s)
+        l_pos = np.sum(s, axis=1, keepdims=True) / temperature
+        p[:, :1] = l_pos
+        np.matmul(q[lo:hi], negatives.T, out=p[:, 1:])
+        p[:, 1:] /= temperature
+        m = p.max(axis=1, keepdims=True)
+        p -= m
+        np.exp(p, out=p)
+        z = p.sum(axis=1, keepdims=True)
+        np.add(-(l_pos - m), np.log(z), out=losses[lo:hi])
+        p /= z
+        # d(mean loss)/dq_i = ((p_pos - 1) k+_i + sum_j p_ij k-_j) / (t B)
+        np.matmul(p[:, 1:], negatives, out=grad_q[lo:hi])
+        np.multiply(p[:, :1] - 1.0, k_pos[lo:hi], out=s)
+        grad_q[lo:hi] += s
+        grad_q[lo:hi] /= temperature * b
+
+    if _step_workers(b, *negatives.shape) == 2:
+        cut = b // 3 // 24 * 24
+        share = _step_worker().submit(rows, 0, cut)
+        try:
+            rows(cut, b)
+        finally:
+            share.result()
+    else:
+        rows(0, b)
     return float(losses.mean()), grad_q
 
 
@@ -230,6 +279,29 @@ def _run_batch(pair, bank, optim, obs_a, obs_b, temperature, lr, workspace):
     return loss
 
 
+def _train(draw, n_steps, pair, bank, optim, config, lr, workspace, epoch, t0) -> TrainStats:
+    """Train ``n_steps`` steps on the views ``draw`` gives, and sum up the epoch.
+
+    With two `_step_workers`, the step worker draws batch i+1 while batch i
+    trains; the draws still run in order, so the generator gives the same
+    numbers.  An error from a step goes on once the draw in flight is done.
+    """
+    draw_ahead = _step_workers(config.batch_size, bank.capacity, bank.dim) == 2
+    losses, pending = [], None
+    try:
+        for i in range(n_steps):
+            view_a, view_b = draw() if pending is None else pending.result()
+            pending = _step_worker().submit(draw) if draw_ahead and i + 1 < n_steps else None
+            loss = _run_batch(pair, bank, optim, view_a, view_b, config.temperature, lr, workspace)
+            if loss is not None:
+                losses.append(loss)
+    finally:
+        if pending is not None:
+            pending.exception()
+    mean_loss = float(np.mean(losses)) if losses else float("nan")
+    return TrainStats(epoch, mean_loss, lr, bank_occupancy=len(bank), wall_time=time.perf_counter() - t0)
+
+
 def cid_epoch(
     pair: enc.EncoderPair,
     bank: MemoryBank,
@@ -260,24 +332,15 @@ def cid_epoch(
     perm = rng.permutation(x.shape[0])
     if workspace is None:
         workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
-    losses = []
-    for start in range(0, x.shape[0] - config.batch_size + 1, config.batch_size):
-        idx = perm[start : start + config.batch_size]
-        obs = x[idx]
+    n_steps = x.shape[0] // config.batch_size
+    batches = iter(perm[: n_steps * config.batch_size].reshape(n_steps, config.batch_size))
+
+    def draw():
+        obs = x[next(batches)]
         view_a = synth.augment_batch(obs, rng, config.aug_strength, workspace.augment)
-        view_b = synth.augment_batch(obs, rng, config.aug_strength, workspace.augment)
-        loss = _run_batch(
-            pair, bank, optim, view_a, view_b, config.temperature, step_lr, workspace
-        )
-        if loss is not None:
-            losses.append(loss)
-    return TrainStats(
-        epoch=epoch,
-        mean_loss=float(np.mean(losses)) if losses else float("nan"),
-        lr=step_lr,
-        bank_occupancy=len(bank),
-        wall_time=time.perf_counter() - t0,
-    )
+        return view_a, synth.augment_batch(obs, rng, config.aug_strength, workspace.augment)
+
+    return _train(draw, n_steps, pair, bank, optim, config, step_lr, workspace, epoch, t0)
 
 
 def sample_tsd_pairs(
@@ -342,21 +405,11 @@ def tsd_epoch(
     step_lr = enc.cosine_lr(epoch, config.epochs_tsd, config.base_lr)
     if workspace is None:
         workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
-    losses = []
-    for _ in range(n_batches):
+
+    def draw():
         seg_idx = rng.choice(len(usable), size=config.batch_size, p=probs)
         anchors, positives = sample_tsd_pairs(rows, starts, lengths, seg_idx, rng)
         view_a = synth.augment_batch(x[anchors], rng, config.aug_strength, workspace.augment)
-        view_b = synth.augment_batch(x[positives], rng, config.aug_strength, workspace.augment)
-        loss = _run_batch(
-            pair, bank, optim, view_a, view_b, config.temperature, step_lr, workspace
-        )
-        if loss is not None:
-            losses.append(loss)
-    return TrainStats(
-        epoch=epoch,
-        mean_loss=float(np.mean(losses)) if losses else float("nan"),
-        lr=step_lr,
-        bank_occupancy=len(bank),
-        wall_time=time.perf_counter() - t0,
-    )
+        return view_a, synth.augment_batch(x[positives], rng, config.aug_strength, workspace.augment)
+
+    return _train(draw, n_batches, pair, bank, optim, config, step_lr, workspace, epoch, t0)

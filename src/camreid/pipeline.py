@@ -459,7 +459,9 @@ STAGES = {
 }
 
 
-def _run_stage(root: Path, fingerprint: str, force: bool, stage: str, dirname: str, inputs: dict, body) -> bool:
+def _run_stage(
+    root: Path, fingerprint: str, force: bool, stage: str, dirname: str, inputs: dict, body, step_workers: int = 0
+) -> bool:
     """Digest ``inputs``, then skip the stage, refuse, or run ``body`` and record it.
 
     Returns False when ``root/dirname`` holds a manifest with these input
@@ -468,7 +470,8 @@ def _run_stage(root: Path, fingerprint: str, force: bool, stage: str, dirname: s
     dies before its new one is written is run again, never taken as done;
     then ``body(stage_dir, digests)`` writes the outputs and returns them with
     the manifest's extra fields.  The manifest also records what the stage
-    used, from the digests to the body's return (see ``_resources``).
+    used, from the digests to the body's return (see ``_resources``), and a
+    training stage's ``step_workers``: the threads its steps ran on.
     """
     wall0, usage0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     stage_dir = root / dirname
@@ -483,6 +486,8 @@ def _run_stage(root: Path, fingerprint: str, force: bool, stage: str, dirname: s
     manifest.unlink(missing_ok=True)
     outputs, extra = body(stage_dir, digests)
     resources = _resources(wall0, usage0)
+    if step_workers:
+        resources["step_workers"] = step_workers
     storage.write_manifest(stage_dir, stage, digests, outputs, fingerprint, extra=extra, resources=resources)
     return True
 
@@ -512,8 +517,7 @@ def write_config(root: Path, config: PipelineConfig, force: bool = False) -> Non
     path = root / "config.json"
     payload = config.to_payload()
     if path.exists():
-        existing = json.loads(path.read_text())
-        if existing == payload:
+        if storage.read_json(path) == payload:
             return
         if not force:
             raise ManifestError(f"{path} disagrees with the requested config; pass --force")
@@ -632,10 +636,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(stage_dir: Path) -> enc.EncoderPair:
-    meta_path = stage_dir / "checkpoint.json"
-    if not meta_path.exists():
-        raise ManifestError(f"missing checkpoint metadata {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    meta = storage.read_json(stage_dir / "checkpoint.json", ("dims", "key_momentum"))
     tensors = storage.read_tensors(stage_dir / "checkpoint.rctr")
     dims = tuple(meta["dims"])
     sides = {}
@@ -646,6 +647,11 @@ def load_checkpoint(stage_dir: Path) -> enc.EncoderPair:
     return enc.EncoderPair(query=sides["query"], key=sides["key"], momentum=meta["key_momentum"])
 
 
+def _step_workers(config: PipelineConfig) -> int:
+    cc = config.contrastive
+    return ctr._step_workers(cc.batch_size, cc.bank_size, config.encoder_dims[-1])
+
+
 def stage_train_cid(root: Path, config: PipelineConfig, force: bool = False) -> bool:
     def body(stage_dir, digests):
         obs = load_train_table(root, config, digests).observations
@@ -654,7 +660,9 @@ def stage_train_cid(root: Path, config: PipelineConfig, force: bool = False) -> 
         steps = config.contrastive.epochs_cid * (len(obs) // config.contrastive.batch_size) - 1
         return save_checkpoint(stage_dir, pair, stats, config, "cid"), {"rows": len(obs), "steps": steps}
 
-    return _run_stage(root, config.fingerprint(), force, "train-cid", "cid", _sim_inputs(root), body)
+    return _run_stage(
+        root, config.fingerprint(), force, "train-cid", "cid", _sim_inputs(root), body, _step_workers(config)
+    )
 
 
 def stage_extract(root: Path, config: PipelineConfig, force: bool = False, checkpoint: str = "cid") -> bool:
@@ -733,7 +741,7 @@ def stage_train_tsd(root: Path, config: PipelineConfig, force: bool = False) -> 
         "segments": root / "segments" / "segments.jsonl",
         **_checkpoint_inputs(root, "cid"),
     }
-    return _run_stage(root, config.fingerprint(), force, "train-tsd", "tsd", inputs, body)
+    return _run_stage(root, config.fingerprint(), force, "train-tsd", "tsd", inputs, body, _step_workers(config))
 
 
 def stage_fit_ccr(root: Path, config: PipelineConfig, force: bool = False) -> bool:
@@ -760,10 +768,7 @@ def stage_fit_ccr(root: Path, config: PipelineConfig, force: bool = False) -> bo
 
 def load_projector(root: Path) -> ccr_mod.CcrProjector:
     tens = storage.read_tensors(root / "ccr" / "projector.rctr")
-    meta_path = root / "ccr" / "projector.json"
-    if not meta_path.exists():
-        raise ManifestError(f"missing projector metadata {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    meta = storage.read_json(root / "ccr" / "projector.json", ("k", "m", "n"))
     return ccr_mod.CcrProjector(
         v=tens["v"], centering=tens["centering"], k=meta["k"], m=meta["m"], n=meta["n"]
     )

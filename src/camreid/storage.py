@@ -254,14 +254,25 @@ def write_manifest(
     return path
 
 
-def read_manifest(stage_dir: Path | str) -> dict:
-    path = Path(stage_dir) / "manifest.json"
-    if not path.exists():
-        raise ManifestError(f"missing manifest {path}")
+def read_json(path: Path | str, keys: tuple[str, ...] = ()) -> dict:
+    """The JSON object in ``path``, which must hold each of ``keys``.
+
+    A missing or damaged file, a value that is not an object and a missing
+    key raise `ManifestError`.
+    """
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{path}: corrupt manifest ({e})") from e
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise ManifestError(f"unreadable metadata {path} ({e})") from e
+    if not isinstance(payload, dict):
+        raise ManifestError(f"{path} does not hold a JSON object")
+    if missing := [k for k in keys if k not in payload]:
+        raise ManifestError(f"{path} lacks the keys {missing}")
+    return payload
+
+
+def read_manifest(stage_dir: Path | str) -> dict:
+    return read_json(Path(stage_dir) / "manifest.json")
 
 
 def manifest_matches(stage_dir: Path | str, inputs: dict[str, str], config_fingerprint: str) -> bool:

@@ -56,7 +56,8 @@ def test_run_command_and_skip(cfg_file, tmp_path, capsys):
     assert [m.parent.name for m in manifests] == ["ccr", "cid", "embed", "eval", "segments", "sim", "tsd"]
     for m in manifests:
         resources = json.loads(m.read_text())["resources"]
-        assert set(resources) == {"wall_s", "cpu_s", "minflt", "max_rss_mib"}
+        training = {"step_workers"} if m.parent.name in ("cid", "tsd") else set()
+        assert set(resources) == {"wall_s", "cpu_s", "minflt", "max_rss_mib"} | training
         assert resources["max_rss_mib"] > 0
 
     def stage_files():
@@ -290,6 +291,15 @@ def _cut_first_record(path):
     path.write_text(text[: text.index("\n") // 2])
 
 
+def _drop_key(key):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+
+    return corrupt
+
+
 _CHAIN = ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-ccr", "evaluate")
 
 
@@ -303,6 +313,11 @@ _CHAIN = ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-c
         ("segments/segments.jsonl", _name_evaluation_window_segment_member, "train-tsd", "not in the training table"),
         ("cid/checkpoint.rctr", _cut_in_half, "extract", "checkpoint.rctr"),
         ("segments/segments.jsonl", _cut_first_record, "train-tsd", "segments.jsonl"),
+        ("cid/checkpoint.json", _cut_in_half, "extract", "checkpoint.json"),
+        ("ccr/projector.json", _cut_in_half, "evaluate", "projector.json"),
+        ("config.json", _cut_in_half, "train-cid", "config.json"),
+        ("cid/checkpoint.json", _drop_key("key_momentum"), "extract", "lacks the keys ['key_momentum']"),
+        ("ccr/projector.json", _drop_key("m"), "evaluate", "lacks the keys ['m']"),
     ],
     ids=[
         "unknown-query-id",
@@ -312,6 +327,11 @@ _CHAIN = ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-c
         "evaluation-window-segment-id",
         "truncated-checkpoint",
         "truncated-segments",
+        "truncated-checkpoint-metadata",
+        "truncated-projector-metadata",
+        "truncated-config",
+        "checkpoint-without-key-momentum",
+        "projector-without-m",
     ],
 )
 def test_corrupt_stage_input_exits_3(cfg_file, tmp_path, capsys, target, corrupt, command, named):

@@ -6,7 +6,15 @@ loss = -log(exp(s+/t) / sum_j exp(s_j/t)) before being frozen as constants.
 
 import collections
 import copy
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +23,8 @@ from hypothesis import strategies as st
 
 from camreid import contrastive as ctr
 from camreid import encoder as enc
-from camreid.errors import InvalidInputError
+from camreid import synth
+from camreid.errors import InvalidInputError, TrainingDivergenceError
 
 
 def _bank_of(rows, dtype=np.float64):
@@ -393,3 +402,175 @@ def test_steady_state_step_stays_below_the_mmap_threshold():
     finally:
         tracemalloc.stop()
     assert peak < 128 << 10
+
+
+# ---------------------------------------------------------------- two step threads
+
+
+def _in_a_process_at_one_blas_thread(monkeypatch, fn, *args):
+    """``fn(*args)`` in a fresh process whose BLAS runs one thread.
+
+    A step splits its rows only then, and OpenBLAS reads its thread count
+    once, when it loads.
+    """
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(fn, *args).result(timeout=300)
+
+
+def _on_one_and_two_threads(run, *args):
+    # run(*args) with the step on one thread, then on two; each result comes
+    # with the number of times the step worker was used.
+    results = []
+    step_worker = ctr._step_worker
+    for n in (1, 2):
+        handed = []
+        ctr._step_workers = lambda *shape, n=n: n
+        ctr._step_worker = lambda: handed.append(1) or step_worker()
+        result = run(*args)
+        results.append((len(handed), result))
+    return results
+
+
+def _one_step(dtype, b, n_keys):
+    rng = np.random.default_rng(b + n_keys)
+    q, k_pos, negatives = (_unit_rows(rng, n, 128, dtype) for n in (b, b, n_keys))
+    logits = np.full((256, 4097), np.nan, dtype=dtype)
+    grad_buf, scratch = np.full((2, 256, 128), np.nan, dtype=dtype)
+    loss, grad_q = ctr._batch_info_nce(q, k_pos, negatives, 0.07, logits, grad_buf, scratch)
+    return loss, grad_q, logits[:b, : n_keys + 1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, n_keys", [(255, 4096), (256, 1500)])
+def test_split_rows_give_the_bits_of_the_serial_step(monkeypatch, dtype, b, n_keys):
+    # An odd batch, and a bank of capacity 4096 that is only partly full.
+    # Loss, gradient and the probabilities left in the logits agree bit for bit.
+    (serial_handed, serial), (split_handed, split) = _in_a_process_at_one_blas_thread(
+        monkeypatch, _on_one_and_two_threads, _one_step, dtype, b, n_keys
+    )
+    assert (serial_handed, split_handed) == (0, 1)
+    assert serial[0] == split[0]
+    assert np.array_equal(serial[1], split[1])
+    assert np.array_equal(serial[2], split[2])
+
+
+def _four_epochs():
+    # One CID epoch and three TSD epochs against a full bank, so that every
+    # step on two threads splits its rows (24 of the 128 go to the worker).
+    rng = np.random.default_rng(7)
+    pair = enc.init_encoder((32, 64, 128), seed=1)
+    optim = enc.OptimState.for_params(pair.query)
+    bank = ctr.MemoryBank(2048, 128)
+    bank.enqueue(_unit_rows(rng, 2048, 128))
+    obs = rng.standard_normal((2048, 32)).astype(np.float32)
+    config = ctr.ContrastiveConfig(batch_size=128, bank_size=2048, epochs_tsd=3)
+    segments = [np.arange(s, s + 8) for s in range(0, 2048, 8)]
+    workspace = ctr.StepWorkspace.for_epoch(pair, bank, 128, 32)
+    stats = [ctr.cid_epoch(pair, bank, obs, config, optim, rng, workspace=workspace)]
+    stats += [ctr.tsd_epoch(pair, bank, segments, obs, config, optim, rng, e, workspace) for e in range(3)]
+    arrays = pair.query.weights + pair.query.biases + pair.key.weights + pair.key.biases
+    arrays += optim.velocity_w + optim.velocity_b + [bank.contents()]
+    return [s.mean_loss for s in stats], rng.bit_generator.state, arrays
+
+
+def test_epochs_on_two_threads_end_with_the_bits_of_serial_epochs(monkeypatch):
+    (serial_handed, serial), (split_handed, split) = _in_a_process_at_one_blas_thread(
+        monkeypatch, _on_one_and_two_threads, _four_epochs
+    )
+    assert serial_handed == 0
+    # 16 steps an epoch: each splits its rows, and all but the first draw ahead.
+    assert split_handed == 4 * (16 + 15)
+    assert serial[:2] == split[:2]
+    assert len(serial[2]) == len(split[2]) == 13
+    for want, got in zip(serial[2], split[2]):
+        assert np.array_equal(want, got)
+
+
+def test_a_step_error_waits_for_the_draw_in_flight(monkeypatch):
+    # The first step diverges while the worker draws the second batch
+    # (slowed down here); the error reaches the caller once that draw is done.
+    monkeypatch.setattr(ctr, "_step_workers", lambda *shape: 2)
+    events = []
+    augment_batch = synth.augment_batch
+
+    def slow_augment(*args):
+        events.append("start")
+        time.sleep(0.05)
+        out = augment_batch(*args)
+        events.append("end")
+        return out
+
+    def diverge(*args):
+        raise TrainingDivergenceError("non-finite contrastive loss nan")
+
+    monkeypatch.setattr(synth, "augment_batch", slow_augment)
+    monkeypatch.setattr(ctr, "_run_batch", diverge)
+    config, pair, bank, optim, rng, obs = _tiny_setup()
+    rows = [np.arange(s, s + 8, dtype=np.int64) for s in range(0, 80, 8)]
+    with pytest.raises(TrainingDivergenceError):
+        ctr.tsd_epoch(pair, bank, rows, obs, config, optim, rng, epoch=0)
+    # Two views for the first batch, drawn here, and two for the second.
+    assert events == ["start", "end"] * 4
+
+
+@pytest.mark.parametrize("blas, want", [(None, 1), ("2", 1), ("", 1), ("abc", 1), ("1", 2)])
+def test_a_step_uses_two_threads_only_beside_one_blas_thread(monkeypatch, blas, want):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert ctr._step_workers(256, 4096, 128) == want
+    # The small-batch shape, B=64 and K=1024, stays serial.
+    assert ctr._step_workers(64, 1024, 128) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert ctr._step_workers(256, 4096, 128) == 1
+
+
+def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch):
+    # A variable without a positive count leaves the choice to the next one.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert ctr._step_workers(256, 4096, 128) == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert ctr._step_workers(256, 4096, 128) == 1
+
+
+def test_the_serial_path_starts_no_thread(monkeypatch):
+    # Two BLAS threads: a default-shape step and a whole epoch run serially.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(ctr, "_step_worker", lambda: pytest.fail("the serial path used the step worker"))
+    before = threading.active_count()
+    pair, optim, bank, workspace, (a, b, _, _) = _default_step_setup()
+    ctr._run_batch(pair, bank, optim, a, b, 0.07, 0.03, workspace)
+    config, pair, bank, optim, rng, obs = _tiny_setup()
+    ctr.cid_epoch(pair, bank, obs, config, optim, rng)
+    assert threading.active_count() == before
+
+
+def test_importing_camreid_leaves_the_thread_pool_unloaded():
+    code = "import sys, camreid.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_its_own_step_worker(monkeypatch):
+    monkeypatch.setattr(ctr, "_step_workers", lambda *shape: 2)
+    rng = np.random.default_rng(3)
+    q, k_pos, negatives = (_unit_rows(rng, n, 128) for n in (64, 64, 1024))
+    logits = np.empty((64, 1025), dtype=np.float32)
+    want = ctr._batch_info_nce(q, k_pos, negatives, 0.07, logits)[0]  # starts the parent's worker
+    pid = os.fork()
+    if pid == 0:
+        # A child that handed work to the parent's thread would wait forever.
+        signal.alarm(30)
+        try:
+            os._exit(0 if ctr._batch_info_nce(q, k_pos, negatives, 0.07, logits)[0] == want else 1)
+        finally:
+            os._exit(2)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -391,6 +391,19 @@ def test_stage_dying_before_its_manifest_is_rerun(tiny_cfg, tmp_path, monkeypatc
     assert not pl.stage_train_cid(tmp_path, tiny_cfg)
 
 
+def test_training_manifests_record_their_step_workers(tiny_cfg, tmp_path, monkeypatch):
+    pl.stage_run(tmp_path, tiny_cfg)
+    # The tiny steps are too small to split; other stages record no count.
+    workers = {d: storage.read_manifest(tmp_path / d)["resources"].get("step_workers") for d in ("cid", "tsd", "sim")}
+    assert workers == {"cid": 1, "tsd": 1, "sim": None}
+    monkeypatch.setattr(ctr, "_step_workers", lambda *shape: 2)
+    # What a run used is not compared: the finished stage is still a hit.
+    assert not pl.stage_train_cid(tmp_path, tiny_cfg)
+    (tmp_path / "cid" / "manifest.json").unlink()
+    assert pl.stage_train_cid(tmp_path, tiny_cfg)
+    assert storage.read_manifest(tmp_path / "cid")["resources"]["step_workers"] == 2
+
+
 def _files(root):
     """Every file under root with its bytes, inode and modification time."""
     files = (p for p in sorted(root.rglob("*")) if p.is_file())
