@@ -310,7 +310,6 @@ def cid_epoch(
     optim: enc.OptimState,
     rng: np.random.Generator,
     epoch: int = 0,
-    lr: float | None = None,
     workspace: StepWorkspace | None = None,
 ) -> TrainStats:
     """One instance-discrimination epoch over shuffled observations.
@@ -328,7 +327,6 @@ def cid_epoch(
             f"need at least batch_size={config.batch_size} detections, got {x.shape[0]}"
         )
     t0 = time.perf_counter()
-    step_lr = config.base_lr if lr is None else lr
     perm = rng.permutation(x.shape[0])
     if workspace is None:
         workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
@@ -340,7 +338,7 @@ def cid_epoch(
         view_a = synth.augment_batch(obs, rng, config.aug_strength, workspace.augment)
         return view_a, synth.augment_batch(obs, rng, config.aug_strength, workspace.augment)
 
-    return _train(draw, n_steps, pair, bank, optim, config, step_lr, workspace, epoch, t0)
+    return _train(draw, n_steps, pair, bank, optim, config, config.base_lr, workspace, epoch, t0)
 
 
 def sample_tsd_pairs(
@@ -376,7 +374,8 @@ def sample_tsd_pairs(
 def tsd_epoch(
     pair: enc.EncoderPair,
     bank: MemoryBank,
-    segment_rows: list[np.ndarray],
+    rows: np.ndarray,
+    lengths: np.ndarray,
     observations: np.ndarray,
     config: ContrastiveConfig,
     optim: enc.OptimState,
@@ -386,19 +385,21 @@ def tsd_epoch(
 ) -> TrainStats:
     """One segment-discrimination epoch with a cosine-decayed learning rate.
 
-    Batches sample segments with probability proportional to segment length,
-    then one anchor/positive detection pair per sampled segment; both sides
-    are augmented independently.  An epoch covers as many batches as the
-    total segment detection count supports.
+    ``rows`` holds the observation rows of each segment in turn, ``lengths``
+    their counts; segments of fewer than 2 rows are left out.  Batches
+    sample segments with probability proportional to segment length, then
+    one anchor/positive detection pair per sampled segment; both sides are
+    augmented independently.  An epoch covers as many batches as the total
+    segment detection count supports.
     """
     config.validate()
-    usable = [np.asarray(s, dtype=np.int64) for s in segment_rows if len(s) >= 2]
-    if not usable:
+    usable = lengths >= 2
+    if not usable.any():
         raise InvalidInputError("no segment with >= 2 detections to sample pairs from")
     x = np.asarray(observations)
     t0 = time.perf_counter()
-    rows = np.concatenate(usable)
-    lengths = np.array([len(s) for s in usable], dtype=np.int64)
+    rows = rows[np.repeat(usable, lengths)]
+    lengths = lengths[usable]
     starts = np.cumsum(lengths) - lengths
     probs = lengths / lengths.sum()
     n_batches = max(int(lengths.sum()) // config.batch_size, 1)
@@ -407,7 +408,7 @@ def tsd_epoch(
         workspace = StepWorkspace.for_epoch(pair, bank, config.batch_size, x.shape[1])
 
     def draw():
-        seg_idx = rng.choice(len(usable), size=config.batch_size, p=probs)
+        seg_idx = rng.choice(len(lengths), size=config.batch_size, p=probs)
         anchors, positives = sample_tsd_pairs(rows, starts, lengths, seg_idx, rng)
         view_a = synth.augment_batch(x[anchors], rng, config.aug_strength, workspace.augment)
         return view_a, synth.augment_batch(x[positives], rng, config.aug_strength, workspace.augment)

@@ -152,7 +152,7 @@ class Benchmark:
     train: synth.DetectionTable  # gt stripped
     query: synth.DetectionTable
     gallery: synth.DetectionTable
-    gt_by_det: dict[int, int]  # diagnostics and evaluation only
+    gt_of_det: np.ndarray  # the identity of each det id; diagnostics and evaluation only
 
 
 @dataclass
@@ -177,7 +177,7 @@ def build_benchmark(config: PipelineConfig) -> Benchmark:
         train=synth.training_table(config.stream, full, config.eval_window_frac),
         query=query,
         gallery=gallery,
-        gt_by_det={int(d): int(g) for d, g in zip(full.det_id, full.gt_id)},
+        gt_of_det=full.gt_id,  # the stream's det ids are its row numbers
     )
 
 
@@ -191,57 +191,54 @@ def embed_all(params: enc.EncoderParams, observations: np.ndarray, batch_size: i
     return result
 
 
-def train_cid(config: PipelineConfig, observations: np.ndarray) -> tuple[enc.EncoderPair, list[ctr.TrainStats]]:
-    """Instance-discrimination stage from a fresh encoder and empty bank."""
-    cc = config.contrastive
-    pair = enc.init_encoder(
+def _init_pair(config: PipelineConfig, salt: int) -> enc.EncoderPair:
+    return enc.init_encoder(
         config.encoder_dims,
-        seed=derive_seed(config.seed, _SALT_CID_INIT),
+        seed=derive_seed(config.seed, salt),
         dtype=config.dtype,
-        momentum=cc.key_momentum,
+        momentum=config.contrastive.key_momentum,
     )
+
+
+def _train(config: PipelineConfig, pair: enc.EncoderPair, salt: int, epochs: int, epoch_fn, *data):
+    """Train ``pair`` for ``epochs`` epochs of ``epoch_fn``; the pair and each epoch's stats.
+
+    Each epoch is ``epoch_fn(pair, bank, *data, config, optim, rng, epoch,
+    workspace)``, with ``data`` ending in the observations.  The epochs share
+    a fresh bank, optimizer and step workspace and the generator of ``salt``.
+    """
+    cc = config.contrastive
     bank = ctr.MemoryBank(cc.bank_size, config.encoder_dims[-1], dtype=config.dtype)
     optim = enc.OptimState.for_params(pair.query, cc.base_lr, cc.sgd_momentum, cc.weight_decay)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, _SALT_CID_RNG])))
-    workspace = ctr.StepWorkspace.for_epoch(pair, bank, cc.batch_size, observations.shape[1])
-    stats = []
-    for epoch in range(cc.epochs_cid):
-        stats.append(ctr.cid_epoch(pair, bank, observations, cc, optim, rng, epoch=epoch, workspace=workspace))
-    return pair, stats
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, salt])))
+    workspace = ctr.StepWorkspace.for_epoch(pair, bank, cc.batch_size, data[-1].shape[1])
+    return pair, [epoch_fn(pair, bank, *data, cc, optim, rng, epoch, workspace) for epoch in range(epochs)]
 
 
-def mine_segments(
-    config: PipelineConfig,
-    train: synth.DetectionTable,
-    embeddings: np.ndarray,
-    min_len: int | None = None,
-) -> list[trk.TrackletSegment]:
+def train_cid(config: PipelineConfig, observations: np.ndarray) -> tuple[enc.EncoderPair, list[ctr.TrainStats]]:
+    """Instance-discrimination stage from a fresh encoder and empty bank."""
+    pair = _init_pair(config, _SALT_CID_INIT)
+    return _train(config, pair, _SALT_CID_RNG, config.contrastive.epochs_cid, ctr.cid_epoch, observations)
+
+
+def mine_segments(config: PipelineConfig, train: synth.DetectionTable, embeddings: np.ndarray) -> trk.SegmentTable:
     segments = trk.assemble_segments(train, embeddings, min_affinity=config.min_affinity)
-    return trk.filter_segments(segments, config.min_len if min_len is None else min_len)
+    return trk.filter_segments(segments, config.min_len)
 
 
 def train_tsd(
     config: PipelineConfig,
     init_pair: enc.EncoderPair,
-    segments: list[trk.TrackletSegment],
+    segments: trk.SegmentTable,
     train: synth.DetectionTable,
 ) -> tuple[enc.EncoderPair, list[ctr.TrainStats]]:
     """Segment-discrimination stage; starts from the given weights, fresh bank."""
-    cc = config.contrastive
-    rows = trk.segments_to_rows(segments, train.det_id)
+    rows = _rows_of(train.det_id, segments.det_id, "the segment table", "the training table")
     pair = enc.EncoderPair(
-        query=init_pair.query.copy(), key=init_pair.query.copy(), momentum=cc.key_momentum
+        query=init_pair.query.copy(), key=init_pair.query.copy(), momentum=config.contrastive.key_momentum
     )
-    bank = ctr.MemoryBank(cc.bank_size, config.encoder_dims[-1], dtype=config.dtype)
-    optim = enc.OptimState.for_params(pair.query, cc.base_lr, cc.sgd_momentum, cc.weight_decay)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, _SALT_TSD_RNG])))
-    workspace = ctr.StepWorkspace.for_epoch(pair, bank, cc.batch_size, train.observations.shape[1])
-    stats = []
-    for epoch in range(cc.epochs_tsd):
-        stats.append(
-            ctr.tsd_epoch(pair, bank, rows, train.observations, cc, optim, rng, epoch, workspace)
-        )
-    return pair, stats
+    epochs = config.contrastive.epochs_tsd
+    return _train(config, pair, _SALT_TSD_RNG, epochs, ctr.tsd_epoch, rows, segments.length, train.observations)
 
 
 def fit_ccr(
@@ -292,12 +289,7 @@ def eval_report(
 
 def random_pair(config: PipelineConfig) -> enc.EncoderPair:
     """Untrained encoder used for the segment-only training arm."""
-    return enc.init_encoder(
-        config.encoder_dims,
-        seed=derive_seed(config.seed, _SALT_RANDOM_INIT),
-        dtype=config.dtype,
-        momentum=config.contrastive.key_momentum,
-    )
+    return _init_pair(config, _SALT_RANDOM_INIT)
 
 
 def run_pipeline(config: PipelineConfig, bench: Benchmark | None = None) -> PipelineResult:
@@ -360,7 +352,7 @@ def ablation_min_len(config: PipelineConfig, values=MIN_LEN_VALUES) -> list[dict
             {
                 "min_len": int(min_len),
                 "n_segments": trk.segment_stats(kept).n_segments,
-                "purity": trk.segment_purity(kept, bench.gt_by_det),
+                "purity": trk.segment_purity(kept, bench.gt_of_det),
                 "rank1": report.rank1,
                 "mean_ap": report.mean_ap,
             }
@@ -569,7 +561,7 @@ def _load_split(root: Path, config: PipelineConfig, digests: dict[str, str] | No
     key = (digests["detections"], digests["observations"], start)
     if key not in _split_cache:
         columns = storage.read_int_records(root / "sim" / "detections.jsonl", synth.DetectionTable.INT_COLUMNS)
-        tens = storage.read_tensors(root / "sim" / "observations.rctr")
+        tens = storage.read_tensors(root / "sim" / "observations.rctr", ("det_ids", "observations"))
         if not np.array_equal(columns["det_id"], tens["det_ids"]):
             raise ManifestError("detections.jsonl and observations.rctr disagree on det_ids")
         full = synth.DetectionTable(observations=tens["observations"], **columns)
@@ -637,12 +629,14 @@ def save_checkpoint(
 
 def load_checkpoint(stage_dir: Path) -> enc.EncoderPair:
     meta = storage.read_json(stage_dir / "checkpoint.json", ("dims", "key_momentum"))
-    tensors = storage.read_tensors(stage_dir / "checkpoint.rctr")
     dims = tuple(meta["dims"])
+    layers = range(len(dims) - 1)
+    names = [f"{side}.{p}{i}" for side in ("query", "key") for i in layers for p in "wb"]
+    tensors = storage.read_tensors(stage_dir / "checkpoint.rctr", names)
     sides = {}
     for side in ("query", "key"):
-        weights = [tensors[f"{side}.w{i}"] for i in range(len(dims) - 1)]
-        biases = [tensors[f"{side}.b{i}"] for i in range(len(dims) - 1)]
+        weights = [tensors[f"{side}.w{i}"] for i in layers]
+        biases = [tensors[f"{side}.b{i}"] for i in layers]
         sides[side] = enc.EncoderParams(dims=dims, weights=weights, biases=biases)
     return enc.EncoderPair(query=sides["query"], key=sides["key"], momentum=meta["key_momentum"])
 
@@ -680,21 +674,18 @@ def stage_extract(root: Path, config: PipelineConfig, force: bool = False, check
 def stage_trackletize(root: Path, config: PipelineConfig, force: bool = False) -> bool:
     def body(stage_dir, digests):
         train = load_train_table(root, config, digests)
-        tens = storage.read_tensors(root / "embed" / "embeddings.rctr")
+        tens = storage.read_tensors(root / "embed" / "embeddings.rctr", ("det_ids", "embeddings"))
         if not np.array_equal(tens["det_ids"], train.det_id):
             raise ManifestError("embeddings do not align with the training detections")
         segments = mine_segments(config, train, tens["embeddings"])
         outputs = [stage_dir / "segments.jsonl", stage_dir / "stats.json"]
+        det_ids = np.split(segments.det_id, segments.start[1:])
+        columns = (segments.segment_id, segments.camera_id, segments.first_frame)
         storage.write_records(
             outputs[0],
             (
-                {
-                    "segment_id": s.segment_id,
-                    "camera_id": s.camera_id,
-                    "first_frame": s.first_frame,
-                    "det_ids": list(s.det_ids),
-                }
-                for s in segments
+                {"segment_id": s, "camera_id": c, "first_frame": f, "det_ids": ids.tolist()}
+                for s, c, f, ids in zip(*(col.tolist() for col in columns), det_ids)
             ),
         )
         stats = trk.segment_stats(segments)
@@ -711,28 +702,30 @@ def stage_trackletize(root: Path, config: PipelineConfig, force: bool = False) -
     return _run_stage(root, config.fingerprint(), force, "trackletize", "segments", inputs, body)
 
 
-def load_segments(root: Path) -> list[trk.TrackletSegment]:
-    recs = storage.read_records(root / "segments" / "segments.jsonl")
-    return [
-        trk.TrackletSegment(
-            segment_id=r["segment_id"],
-            camera_id=r["camera_id"],
-            det_ids=tuple(r["det_ids"]),
-            first_frame=r["first_frame"],
-        )
-        for r in recs
-    ]
+def load_segments(root: Path) -> trk.SegmentTable:
+    """The segments of ``segments/segments.jsonl``; a record that is not a whole segment raises ManifestError."""
+    path = root / "segments" / "segments.jsonl"
+    records = storage.read_records(path)
+    columns = ("segment_id", "camera_id", "first_frame")
+    for i, r in enumerate(records, 1):
+        ids = r.get("det_ids") if isinstance(r, dict) else None
+        values = [*ids, *(r.get(c) for c in columns)] if isinstance(ids, list) and ids else [None]
+        if not all(type(v) is int and abs(v) < 2**63 for v in values):  # a missing key reads as None
+            raise ManifestError(f"{path}: record {i} is not an object with integer {', '.join(columns)} and det_ids")
+    return trk.SegmentTable(
+        **{c: np.array([r[c] for r in records], dtype=np.int64) for c in columns},
+        length=np.array([len(r["det_ids"]) for r in records], dtype=np.int64),
+        det_id=np.array([d for r in records for d in r["det_ids"]], dtype=np.int64),
+    )
 
 
 def stage_train_tsd(root: Path, config: PipelineConfig, force: bool = False) -> bool:
     def body(stage_dir, digests):
         train = load_train_table(root, config, digests)
         segments = load_segments(root)
-        ids = np.array([d for s in segments for d in s.det_ids], dtype=np.int64)
-        _rows_of(train.det_id, ids, "segments/segments.jsonl", "the training table")
         pair, stats = train_tsd(config, load_checkpoint(root / "cid"), segments, train)
         # tsd_epoch's batches, from the rows of segments it can draw a pair from; the first fills the bank
-        rows = sum(len(s.det_ids) for s in segments if len(s.det_ids) >= 2)
+        rows = int(segments.length[segments.length >= 2].sum())
         steps = config.contrastive.epochs_tsd * max(rows // config.contrastive.batch_size, 1) - 1
         return save_checkpoint(stage_dir, pair, stats, config, "tsd"), {"rows": rows, "steps": steps}
 
@@ -767,7 +760,7 @@ def stage_fit_ccr(root: Path, config: PipelineConfig, force: bool = False) -> bo
 
 
 def load_projector(root: Path) -> ccr_mod.CcrProjector:
-    tens = storage.read_tensors(root / "ccr" / "projector.rctr")
+    tens = storage.read_tensors(root / "ccr" / "projector.rctr", ("v", "centering"))
     meta = storage.read_json(root / "ccr" / "projector.json", ("k", "m", "n"))
     return ccr_mod.CcrProjector(
         v=tens["v"], centering=tens["centering"], k=meta["k"], m=meta["m"], n=meta["n"]

@@ -87,8 +87,8 @@ def _read_exactly(fh, n: int) -> bytes:
     return data
 
 
-def read_tensors(path: Path | str) -> dict[str, np.ndarray]:
-    """The tensors of a container, each payload read straight into its array."""
+def read_tensors(path: Path | str, names: Iterable[str] = ()) -> dict[str, np.ndarray]:
+    """The tensors of a container, each payload read straight into its array; it must hold each of ``names``."""
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"missing tensor file {path}")
@@ -116,9 +116,11 @@ def read_tensors(path: Path | str) -> dict[str, np.ndarray]:
                 if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                     raise ManifestError(f"{path}: truncated payload for tensor '{name}'")
                 out[name] = arr
-            return out
     except (struct.error, UnicodeDecodeError, ValueError) as e:
         raise ManifestError(f"{path}: corrupt tensor container ({e})") from e
+    if missing := [n for n in names if n not in out]:
+        raise ManifestError(f"{path} lacks the tensors {missing}")
+    return out
 
 
 def write_records(path: Path | str, records: Iterable[dict]) -> None:

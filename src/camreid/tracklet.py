@@ -10,9 +10,7 @@ closes every open segment in that camera.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,15 +23,22 @@ class Match:
     col: int
 
 
-@dataclass(frozen=True)
-class TrackletSegment:
-    segment_id: int
-    camera_id: int
-    det_ids: tuple[int, ...]
-    first_frame: int
+@dataclass(frozen=True, eq=False)
+class SegmentTable:
+    """Mined segments as columns; segment s holds ``det_id[start[s] : start[s] + length[s]]``, in frame order."""
+
+    segment_id: np.ndarray
+    camera_id: np.ndarray
+    first_frame: np.ndarray
+    length: np.ndarray
+    det_id: np.ndarray  # every segment's detections, segment after segment
 
     def __len__(self) -> int:
-        return len(self.det_ids)
+        return len(self.length)
+
+    @property
+    def start(self) -> np.ndarray:
+        return np.cumsum(self.length) - self.length
 
 
 def _mutual_best(aff: np.ndarray, min_affinity: float | None) -> np.ndarray:
@@ -79,7 +84,7 @@ def assemble_segments(
     table: DetectionTable,
     embeddings: np.ndarray,
     min_affinity: float | None = None,
-) -> list[TrackletSegment]:
+) -> SegmentTable:
     """Chain detections of each camera into segments via adjacent-frame matches.
 
     ``embeddings`` rows align with ``table`` rows.  Every detection lands in
@@ -143,21 +148,22 @@ def assemble_segments(
     seg_of[heads] = np.arange(len(heads))
     seg_of = seg_of[head]
     # A chain only moves forward in frame, so position order is chain order.
-    members = det_id[np.argsort(seg_of, kind="stable")].tolist()
-    lengths = np.bincount(seg_of, minlength=len(heads))
-    ends = np.cumsum(lengths)
-    bounds = zip((ends - lengths).tolist(), ends.tolist())
-    return [
-        TrackletSegment(segment_id=i, camera_id=c, det_ids=tuple(members[lo:hi]), first_frame=f)
-        for i, (c, f, (lo, hi)) in enumerate(zip(cam[heads].tolist(), frame[heads].tolist(), bounds))
-    ]
+    return SegmentTable(
+        segment_id=np.arange(len(heads)),
+        camera_id=cam[heads],
+        first_frame=frame[heads],
+        length=np.bincount(seg_of, minlength=len(heads)),
+        det_id=det_id[np.argsort(seg_of, kind="stable")],
+    )
 
 
-def filter_segments(segments: Sequence[TrackletSegment], min_len: int) -> list[TrackletSegment]:
-    """Keep segments with at least ``min_len`` detections."""
+def filter_segments(segments: SegmentTable, min_len: int) -> SegmentTable:
+    """Keep segments with at least ``min_len`` detections, under their own ids."""
     if min_len < 1:
         raise InvalidInputError("min_len must be >= 1")
-    return [s for s in segments if len(s) >= min_len]
+    keep = segments.length >= min_len
+    columns = {f.name: getattr(segments, f.name)[keep] for f in fields(SegmentTable) if f.name != "det_id"}
+    return SegmentTable(**columns, det_id=segments.det_id[np.repeat(keep, segments.length)])
 
 
 @dataclass(frozen=True)
@@ -167,32 +173,27 @@ class SegmentStats:
     per_camera: dict[int, int]  # camera id -> count, by camera
 
 
-def segment_stats(segments: Sequence[TrackletSegment]) -> SegmentStats:
+def segment_stats(segments: SegmentTable) -> SegmentStats:
     """Label-free counts over mined segments, by length and by camera."""
-    lengths = Counter(len(s) for s in segments)
-    cameras = Counter(s.camera_id for s in segments)
+    lengths, per_length = np.unique(segments.length, return_counts=True)
+    cameras, per_camera = np.unique(segments.camera_id, return_counts=True)
     return SegmentStats(
         n_segments=len(segments),
-        length_hist=dict(sorted(lengths.items())),
-        per_camera=dict(sorted(cameras.items())),
+        length_hist=dict(zip(lengths.tolist(), per_length.tolist())),
+        per_camera=dict(zip(cameras.tolist(), per_camera.tolist())),
     )
 
 
-def segment_purity(segments: Sequence[TrackletSegment], gt_by_det: dict[int, int]) -> float:
+def segment_purity(segments: SegmentTable, gt_of_det: np.ndarray) -> float:
     """Fraction of segments whose detections all carry one ground-truth identity.
 
-    Diagnostics only: it needs ground-truth access.  Single-detection
-    segments are pure by definition; no segments give NaN.
+    ``gt_of_det[d]`` is the identity of det id d.  Diagnostics only: it
+    needs ground-truth access.  Single-detection segments are pure by
+    definition; no segments give NaN.
     """
-    if not segments:
+    if not len(segments):
         return float("nan")
-    return sum(len({gt_by_det[d] for d in s.det_ids}) == 1 for s in segments) / len(segments)
-
-
-def segments_to_rows(segments: Sequence[TrackletSegment], det_id: np.ndarray) -> list[np.ndarray]:
-    """Translate segment det_ids into rows of the increasing ``det_id`` column."""
-    ids = np.array([d for s in segments for d in s.det_ids], dtype=np.int64)
-    rows = np.searchsorted(det_id, ids)
-    if np.any(rows == len(det_id)) or not np.array_equal(det_id[rows], ids):
-        raise InvalidInputError("a segment names a det_id that is not in the table")
-    return np.split(rows, np.cumsum([len(s.det_ids) for s in segments])[:-1]) if segments else []
+    gt = gt_of_det[segments.det_id]
+    start = segments.start
+    pure = np.minimum.reduceat(gt, start) == np.maximum.reduceat(gt, start)
+    return int(pure.sum()) / len(segments)

@@ -7,7 +7,7 @@ import pytest
 from camreid import cli
 from camreid import contrastive as ctr
 from camreid import pipeline as pl
-from camreid import synth
+from camreid import storage, synth
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +281,36 @@ def _name_evaluation_window_segment_member(path):
     _set_first_segment_member(path, json.loads(query_ids.read_text().splitlines()[0])["det_id"])
 
 
+def _replace_first_segment(replace):
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps(replace(json.loads(lines[0])))
+        path.write_text("".join(line + "\n" for line in lines))
+
+    return corrupt
+
+
+def _without_det_ids(record):
+    return {k: v for k, v in record.items() if k != "det_ids"}
+
+
+def _as_a_list(record):
+    return record["det_ids"]
+
+
+def _text_det_ids(record):
+    return {**record, "det_ids": "abc"}
+
+
+def _drop_tensor(name):
+    def corrupt(path):
+        tensors = storage.read_tensors(path)
+        del tensors[name]
+        storage.write_tensors(path, tensors)
+
+    return corrupt
+
+
 def _cut_in_half(path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -318,6 +348,11 @@ _CHAIN = ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-c
         ("config.json", _cut_in_half, "train-cid", "config.json"),
         ("cid/checkpoint.json", _drop_key("key_momentum"), "extract", "lacks the keys ['key_momentum']"),
         ("ccr/projector.json", _drop_key("m"), "evaluate", "lacks the keys ['m']"),
+        ("embed/embeddings.rctr", _drop_tensor("det_ids"), "trackletize", "lacks the tensors ['det_ids']"),
+        ("cid/checkpoint.rctr", _drop_tensor("query.w1"), "extract", "lacks the tensors ['query.w1']"),
+        ("segments/segments.jsonl", _replace_first_segment(_without_det_ids), "train-tsd", "record 1 is not an object"),
+        ("segments/segments.jsonl", _replace_first_segment(_as_a_list), "train-tsd", "record 1 is not an object"),
+        ("segments/segments.jsonl", _replace_first_segment(_text_det_ids), "train-tsd", "record 1 is not an object"),
     ],
     ids=[
         "unknown-query-id",
@@ -332,6 +367,11 @@ _CHAIN = ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "fit-c
         "truncated-config",
         "checkpoint-without-key-momentum",
         "projector-without-m",
+        "embeddings-without-det-ids",
+        "checkpoint-without-a-weight",
+        "segment-without-det-ids",
+        "segment-that-is-a-list",
+        "segment-with-text-det-ids",
     ],
 )
 def test_corrupt_stage_input_exits_3(cfg_file, tmp_path, capsys, target, corrupt, command, named):

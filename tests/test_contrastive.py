@@ -363,9 +363,9 @@ def test_cid_epoch_rejects_short_input():
 
 def test_tsd_epoch_uses_cosine_schedule_and_trains():
     config, pair, bank, optim, rng, obs = _tiny_setup()
-    rows = [np.arange(s, s + 8, dtype=np.int64) for s in range(0, 80, 8)]
-    stats0 = ctr.tsd_epoch(pair, bank, rows, obs, config, optim, rng, epoch=0)
-    stats2 = ctr.tsd_epoch(pair, bank, rows, obs, config, optim, rng, epoch=2)
+    rows, lengths = np.arange(80), np.full(10, 8)  # ten segments of 8 rows
+    stats0 = ctr.tsd_epoch(pair, bank, rows, lengths, obs, config, optim, rng, epoch=0)
+    stats2 = ctr.tsd_epoch(pair, bank, rows, lengths, obs, config, optim, rng, epoch=2)
     assert stats0.lr == pytest.approx(config.base_lr)
     assert stats2.lr < stats0.lr
     assert np.isfinite(stats2.mean_loss)
@@ -373,9 +373,19 @@ def test_tsd_epoch_uses_cosine_schedule_and_trains():
 
 def test_tsd_epoch_skips_singleton_segments():
     config, pair, bank, optim, rng, obs = _tiny_setup()
-    rows = [np.array([0]), np.array([1])]
     with pytest.raises(InvalidInputError):
-        ctr.tsd_epoch(pair, bank, rows, obs, config, optim, rng, epoch=0)
+        ctr.tsd_epoch(pair, bank, np.array([0, 1]), np.array([1, 1]), obs, config, optim, rng, epoch=0)
+    # Singletons between the segments change nothing: the epoch draws as without them.
+    trained = []
+    for rows, lengths in (
+        (np.arange(80), np.full(10, 8)),
+        (np.insert(np.arange(80), [0, 8, 80], [9, 3, 70]), np.insert(np.full(10, 8), [0, 1, 10], 1)),
+    ):
+        config, pair, bank, optim, rng, obs = _tiny_setup()
+        ctr.tsd_epoch(pair, bank, rows, lengths, obs, config, optim, rng, epoch=0)
+        trained.append(pair.query.weights + [bank.contents()])
+    for want, got in zip(*trained):
+        assert np.array_equal(want, got)
 
 
 def test_contrastive_config_validation():
@@ -465,10 +475,10 @@ def _four_epochs():
     bank.enqueue(_unit_rows(rng, 2048, 128))
     obs = rng.standard_normal((2048, 32)).astype(np.float32)
     config = ctr.ContrastiveConfig(batch_size=128, bank_size=2048, epochs_tsd=3)
-    segments = [np.arange(s, s + 8) for s in range(0, 2048, 8)]
+    rows, lengths = np.arange(2048), np.full(256, 8)  # 256 segments of 8 rows
     workspace = ctr.StepWorkspace.for_epoch(pair, bank, 128, 32)
     stats = [ctr.cid_epoch(pair, bank, obs, config, optim, rng, workspace=workspace)]
-    stats += [ctr.tsd_epoch(pair, bank, segments, obs, config, optim, rng, e, workspace) for e in range(3)]
+    stats += [ctr.tsd_epoch(pair, bank, rows, lengths, obs, config, optim, rng, e, workspace) for e in range(3)]
     arrays = pair.query.weights + pair.query.biases + pair.key.weights + pair.key.biases
     arrays += optim.velocity_w + optim.velocity_b + [bank.contents()]
     return [s.mean_loss for s in stats], rng.bit_generator.state, arrays
@@ -507,9 +517,8 @@ def test_a_step_error_waits_for_the_draw_in_flight(monkeypatch):
     monkeypatch.setattr(synth, "augment_batch", slow_augment)
     monkeypatch.setattr(ctr, "_run_batch", diverge)
     config, pair, bank, optim, rng, obs = _tiny_setup()
-    rows = [np.arange(s, s + 8, dtype=np.int64) for s in range(0, 80, 8)]
     with pytest.raises(TrainingDivergenceError):
-        ctr.tsd_epoch(pair, bank, rows, obs, config, optim, rng, epoch=0)
+        ctr.tsd_epoch(pair, bank, np.arange(80), np.full(10, 8), obs, config, optim, rng, epoch=0)
     # Two views for the first batch, drawn here, and two for the second.
     assert events == ["start", "end"] * 4
 

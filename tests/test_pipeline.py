@@ -108,10 +108,9 @@ def test_benchmark_hides_gt_from_training(tiny_bench):
 
 def test_benchmark_dtype_and_coverage(tiny_cfg, tiny_bench):
     assert tiny_bench.train.observations.dtype == tiny_cfg.dtype
-    for det in tiny_bench.train.det_id:
-        assert int(det) in tiny_bench.gt_by_det
-    for det in tiny_bench.query.det_id:
-        assert int(det) in tiny_bench.gt_by_det
+    assert tiny_bench.train.det_id.max() < len(tiny_bench.gt_of_det)
+    for table in (tiny_bench.query, tiny_bench.gallery):
+        np.testing.assert_array_equal(tiny_bench.gt_of_det[table.det_id], table.gt_id)
 
 
 def test_slice_fraction_prefix(tiny_cfg, tiny_bench):
@@ -278,13 +277,20 @@ def test_load_checkpoint_missing_meta(tmp_path):
         pl.load_checkpoint(tmp_path)
 
 
-def test_load_segments_roundtrip(staged_root):
+def test_load_segments_roundtrip(staged_root, tiny_cfg):
+    # What trackletize wrote reads back as the segments it mined.
+    train = pl.load_train_table(staged_root, tiny_cfg)
+    embeddings = storage.read_tensors(staged_root / "embed" / "embeddings.rctr")["embeddings"]
+    mined = pl.mine_segments(tiny_cfg, train, embeddings)
     segments = pl.load_segments(staged_root)
-    assert segments
+    assert len(segments) > 0
+    for f in dataclasses.fields(segments):
+        got = getattr(segments, f.name)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, getattr(mined, f.name))
     stats = json.loads((staged_root / "segments" / "stats.json").read_text())
     assert stats["n_segments"] == len(segments)
-    for seg in segments:
-        assert len(seg.det_ids) >= 2  # min_len from the tiny config
+    assert segments.length.min() >= 2  # min_len from the tiny config
 
 
 def test_conflicting_rerun_needs_force(tiny_cfg, tmp_path):
@@ -324,7 +330,7 @@ def test_stage_manifests_record_their_counts(tiny_cfg, tmp_path, monkeypatch):
         "cid": {"rows": len(train), "steps": steps["train-cid"]},
         "embed": {"rows": len(train)},
         "segments": {"segments": len(segments)},
-        "tsd": {"rows": sum(len(s.det_ids) for s in segments), "steps": steps["train-tsd"]},
+        "tsd": {"rows": int(segments.length.sum()), "steps": steps["train-tsd"]},
         "ccr": {"rows": len(train)},
         "eval": {"checkpoint": "tsd", "use_ccr": True, "queries": len(query), "gallery": len(gallery)},
     }

@@ -22,8 +22,10 @@ def test_tensor_roundtrip_all_dtypes(tmp_path):
         "ids": np.array([[7, 8], [9, 10]], dtype=np.int64),
     }
     storage.write_tensors(p, tensors)
-    back = storage.read_tensors(p)
+    back = storage.read_tensors(p, ("emb", "ids"))
     assert set(back) == set(tensors)
+    with pytest.raises(ManifestError, match=r"lacks the tensors \['w0', 'b0'\]"):
+        storage.read_tensors(p, ("emb", "w0", "b0"))
     for name, arr in tensors.items():
         assert back[name].dtype == arr.dtype
         assert back[name].shape == arr.shape

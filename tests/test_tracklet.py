@@ -1,5 +1,8 @@
 """Mutual-match semantics, segment assembly, and purity accounting."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +95,24 @@ def _table(frames, cams, d=3):
     )
 
 
+def _segments(*det_ids):
+    """A table of segments with the given det ids, in camera 0 from frame 0, with ids 0, 1, ..."""
+    n = len(det_ids)
+    return trk.SegmentTable(
+        segment_id=np.arange(n),
+        camera_id=np.zeros(n, dtype=np.int64),
+        first_frame=np.zeros(n, dtype=np.int64),
+        length=np.array([len(ids) for ids in det_ids], dtype=np.int64),
+        det_id=np.array([d for ids in det_ids for d in ids], dtype=np.int64),
+    )
+
+
+def _members(segments):
+    """Each segment's det ids, as a tuple."""
+    assert segments.length.sum() == len(segments.det_id)
+    return [tuple(segments.det_id[s : s + n].tolist()) for s, n in zip(segments.start, segments.length)]
+
+
 def test_assemble_segments_chains_adjacent_frames():
     # Two identities in one camera across three adjacent frames, embedded on
     # orthogonal axes, chain into two length-3 segments.
@@ -99,23 +120,23 @@ def test_assemble_segments_chains_adjacent_frames():
     e = np.eye(3)
     emb = np.stack([e[0], e[1], e[0], e[1], e[0], e[1]])
     segs = trk.assemble_segments(table, emb)
-    assert sorted(tuple(s.det_ids) for s in segs) == [(0, 2, 4), (1, 3, 5)]
-    assert all(s.first_frame == 0 for s in segs)
+    assert sorted(_members(segs)) == [(0, 2, 4), (1, 3, 5)]
+    assert segs.first_frame.tolist() == [0, 0]
 
 
 def test_assemble_segments_frame_gap_breaks_chain():
     table = _table(frames=[0, 2], cams=[0, 0])
     emb = np.stack([np.array([1.0, 0, 0])] * 2)
     segs = trk.assemble_segments(table, emb)
-    assert sorted(tuple(s.det_ids) for s in segs) == [(0,), (1,)]
+    assert sorted(_members(segs)) == [(0,), (1,)]
 
 
 def test_assemble_segments_cameras_never_mix():
     table = _table(frames=[0, 1, 0, 1], cams=[0, 0, 1, 1])
     emb = np.tile(np.array([1.0, 0, 0]), (4, 1))
     segs = trk.assemble_segments(table, emb)
-    assert sorted(tuple(s.det_ids) for s in segs) == [(0, 1), (2, 3)]
-    cams = {tuple(s.det_ids): s.camera_id for s in segs}
+    assert sorted(_members(segs)) == [(0, 1), (2, 3)]
+    cams = dict(zip(_members(segs), segs.camera_id.tolist()))
     assert cams[(0, 1)] == 0 and cams[(2, 3)] == 1
 
 
@@ -129,11 +150,10 @@ def test_assemble_segments_is_a_partition():
     emb = rng.standard_normal((n, 5))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     segs = trk.assemble_segments(table, emb)
-    seen = [d for s in segs for d in s.det_ids]
-    assert sorted(seen) == list(range(n))
+    assert sorted(d for ids in _members(segs) for d in ids) == list(range(n))
     # Ids are dense and ordered by (camera, first_frame).
-    assert [s.segment_id for s in segs] == list(range(len(segs)))
-    keys = [(s.camera_id, s.first_frame) for s in segs]
+    assert segs.segment_id.tolist() == list(range(len(segs)))
+    keys = list(zip(segs.camera_id.tolist(), segs.first_frame.tolist()))
     assert keys == sorted(keys)
 
 
@@ -193,10 +213,13 @@ def _pairwise_segments(table, emb, min_affinity):
                 next_open[col] = seg
             open_segs, prev_frame, prev_rows = next_open, f, rows_f
     raw.sort(key=lambda item: (item[0], item[1], table.det_id[item[2][0]]))
-    return [
-        trk.TrackletSegment(i, cam, tuple(int(table.det_id[r]) for r in rows), f)
-        for i, (cam, f, rows) in enumerate(raw)
-    ]
+    return {
+        "segment_id": list(range(len(raw))),
+        "camera_id": [cam for cam, _, _ in raw],
+        "first_frame": [f for _, f, _ in raw],
+        "length": [len(rows) for _, _, rows in raw],
+        "det_id": [int(table.det_id[r]) for _, _, rows in raw for r in rows],
+    }
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -231,32 +254,32 @@ def test_assemble_segments_matches_pairwise_reference(dtype, min_affinity):
     )
     emb = emb[perm]
     want = _pairwise_segments(table, emb, min_affinity)
-    assert trk.assemble_segments(table, emb, min_affinity=min_affinity) == want
-    assert any(len(s) >= 3 for s in want)
+    got = trk.assemble_segments(table, emb, min_affinity=min_affinity)
+    assert {name: getattr(got, name).tolist() for name in want} == want
+    assert max(want["length"]) >= 3
     empty = table.select(np.zeros(0, dtype=np.int64))
-    assert trk.assemble_segments(empty, emb[:0], min_affinity=min_affinity) == []
+    got = trk.assemble_segments(empty, emb[:0], min_affinity=min_affinity)
+    assert {name: getattr(got, name).tolist() for name in want} == dict.fromkeys(want, [])
 
 
 def test_filter_segments_threshold():
-    segs = [
-        trk.TrackletSegment(0, 0, (1,), 0),
-        trk.TrackletSegment(1, 0, (2, 3), 0),
-        trk.TrackletSegment(2, 0, (4, 5, 6), 0),
-    ]
-    assert [len(s) for s in trk.filter_segments(segs, 1)] == [1, 2, 3]
-    assert [len(s) for s in trk.filter_segments(segs, 2)] == [2, 3]
-    assert trk.filter_segments(segs, 4) == []
+    segs = _segments((1,), (2, 3), (4, 5, 6))
+    assert trk.filter_segments(segs, 1).length.tolist() == [1, 2, 3]
+    kept = trk.filter_segments(segs, 2)
+    assert _members(kept) == [(2, 3), (4, 5, 6)]
+    assert kept.segment_id.tolist() == [1, 2]  # a kept segment keeps its id
+    assert len(trk.filter_segments(segs, 4)) == 0
     with pytest.raises(InvalidInputError):
         trk.filter_segments(segs, 0)
 
 
 def test_segment_stats_purity_hand_cases():
-    gt = {1: 7, 2: 7, 3: 8, 4: 7, 5: 9}
-    segs = [
-        trk.TrackletSegment(0, 0, (1, 2), 0),  # pure: both gt 7
-        trk.TrackletSegment(1, 0, (3,), 0),  # singleton: pure by definition
-        trk.TrackletSegment(2, 0, (4, 5), 0),  # mixed: gt 7 and 9
-    ]
+    gt = np.array([-1, 7, 7, 8, 7, 9])  # gt[d] is the identity of det id d
+    segs = _segments(
+        (1, 2),  # pure: both gt 7
+        (3,),  # singleton: pure by definition
+        (4, 5),  # mixed: gt 7 and 9
+    )
     stats = trk.segment_stats(segs)
     assert stats.n_segments == 3
     assert trk.segment_purity(segs, gt) == pytest.approx(2.0 / 3.0)
@@ -264,23 +287,30 @@ def test_segment_stats_purity_hand_cases():
     assert stats.per_camera == {0: 3}
 
 
+def test_segment_stats_and_purity_match_per_segment_counts():
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(1, 6, size=40)
+    ids = rng.permutation(300)[: lengths.sum()]
+    gt = rng.integers(0, 2, size=300)
+    segs = _segments(*np.split(ids, np.cumsum(lengths)[:-1]))
+    segs = dataclasses.replace(segs, camera_id=rng.integers(0, 4, size=40))
+    members = _members(segs)
+    want = sum(len({int(gt[d]) for d in m}) == 1 for m in members) / len(members)
+    assert trk.segment_purity(segs, gt) == want
+    stats = trk.segment_stats(segs)
+    assert stats.length_hist == dict(sorted(Counter(len(m) for m in members).items()))
+    assert stats.per_camera == dict(sorted(Counter(segs.camera_id.tolist()).items()))
+
+
 def test_segment_stats_single_flip_poisons_whole_segment():
     # One wrong label inside a long chain makes that segment impure; purity
     # counts whole segments, not detections.
-    gt = {i: 0 for i in range(10)}
+    gt = np.zeros(10, dtype=np.int64)
     gt[9] = 1
-    segs = [trk.TrackletSegment(0, 0, tuple(range(10)), 0)]
-    assert trk.segment_purity(segs, gt) == 0.0
+    assert trk.segment_purity(_segments(tuple(range(10))), gt) == 0.0
 
 
 def test_segment_stats_empty():
-    stats = trk.segment_stats([])
+    stats = trk.segment_stats(_segments())
     assert (stats.n_segments, stats.length_hist, stats.per_camera) == (0, {}, {})
-    assert np.isnan(trk.segment_purity([], {}))
-
-
-def test_segments_to_rows_maps_det_ids():
-    segs = [trk.TrackletSegment(0, 0, (30, 10), 0)]
-    rows = trk.segments_to_rows(segs, np.array([10, 20, 30]))
-    assert len(rows) == 1
-    assert rows[0].tolist() == [2, 0]
+    assert np.isnan(trk.segment_purity(_segments(), np.zeros(0, dtype=np.int64)))
