@@ -11,7 +11,7 @@ training path.
 """
 
 from .ccr import apply_ccr, build_projector, fit_camera_classifier, nullification_check
-from .contrastive import ContrastiveConfig, MemoryBank, cid_epoch, info_nce, tsd_epoch
+from .contrastive import ContrastiveConfig, MemoryBank, cid_epoch, tsd_epoch
 from .encoder import EncoderPair, cosine_lr, forward, init_encoder, momentum_update
 from .errors import (
     CamreidError,
@@ -21,8 +21,8 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .evaluation import EvalProtocol, EvalReport, evaluate
-from .pipeline import PipelineConfig, build_benchmark, run_pipeline, run_steps_ablation
+from .pipeline import PipelineConfig, build_benchmark, run_pipeline
 from .synth import StreamConfig, generate_world, simulate_stream, split_eval
-from .tracklet import assemble_segments, filter_segments, mutual_matches, segment_purity, segment_stats
+from .tracklet import assemble_segments, filter_segments, segment_purity, segment_stats
 
 __version__ = "0.1.0"

@@ -123,8 +123,8 @@ def fit_camera_classifier(
     return CameraClassifier(weight=w, holdout_accuracy=acc)
 
 
-def build_projector(classifier: CameraClassifier | np.ndarray, k: int | None = None) -> CcrProjector:
-    """Span of the centered classifier's top-k right singular vectors.
+def build_projector(weight: np.ndarray, k: int | None = None) -> CcrProjector:
+    """Span of the centered classifier weight's top-k right singular vectors.
 
     Defaults to k = m, which nulls every centered logit exactly.  The
     centered matrix has rank at most m-1, so its first m-1 right singular
@@ -132,7 +132,7 @@ def build_projector(classifier: CameraClassifier | np.ndarray, k: int | None = N
     completion of a zero singular value, an arbitrary direction that carries
     no camera signal.
     """
-    w = classifier.weight if isinstance(classifier, CameraClassifier) else np.asarray(classifier)
+    w = np.asarray(weight)
     if w.ndim != 2:
         raise InvalidInputError("classifier weight must be a matrix")
     if not np.all(np.isfinite(w)):
@@ -152,22 +152,15 @@ def build_projector(classifier: CameraClassifier | np.ndarray, k: int | None = N
 
 
 def apply_ccr(projector: CcrProjector, embeddings: np.ndarray) -> np.ndarray:
-    """Remove the camera subspace: f - V (V^T f), row-wise for matrices."""
-    x = np.asarray(embeddings)
-    single = x.ndim == 1
-    a = np.atleast_2d(x)
-    if a.shape[1] != projector.n:
-        raise InvalidInputError(f"embedding dim {a.shape[1]} != projector dim {projector.n}")
+    """Remove the camera subspace from each row: f - V (V^T f)."""
+    a = np.asarray(embeddings)
+    if a.ndim != 2 or a.shape[1] != projector.n:
+        raise InvalidInputError(f"embeddings of shape {a.shape} are not rows of width {projector.n}")
     v = projector.v.astype(a.dtype, copy=False)
-    out = a - (a @ v) @ v.T
-    return out[0] if single else out
+    return a - (a @ v) @ v.T
 
 
-def nullification_check(
-    classifier: CameraClassifier | np.ndarray,
-    projector: CcrProjector,
-    embeddings: np.ndarray,
-) -> tuple[float, float]:
+def nullification_check(weight: np.ndarray, projector: CcrProjector, embeddings: np.ndarray) -> tuple[float, float]:
     """Residual camera signal after reduction.
 
     Returns the largest |centered logit| over all samples and cameras, and
@@ -175,10 +168,8 @@ def nullification_check(
     ~0 when the projector was built with k = m; with k < m the residuals are
     reported as-is.
     """
-    w = classifier.weight if isinstance(classifier, CameraClassifier) else np.asarray(classifier)
-    centered = w - projector.centering
-    reduced = np.atleast_2d(apply_ccr(projector, embeddings))
-    logits = reduced @ centered.T
+    centered = np.asarray(weight) - projector.centering
+    logits = apply_ccr(projector, embeddings) @ centered.T
     probs = _softmax_rows(logits)
     max_logit = float(np.abs(logits).max()) if logits.size else 0.0
     max_dev = float(np.abs(probs - 1.0 / projector.m).max()) if probs.size else 0.0

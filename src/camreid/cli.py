@@ -11,6 +11,7 @@ and return a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -52,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        if name == "extract":
-            p.add_argument("--checkpoint", choices=("cid", "tsd"), default="cid")
         if name == "evaluate":
             p.add_argument("--checkpoint", choices=("cid", "tsd"), default="tsd")
             p.add_argument(
@@ -76,17 +75,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> pl.PipelineConfig:
     if args.config is not None:
-        if not args.config.exists():
-            raise ManifestError(f"missing config file {args.config}")
         try:
-            payload = json.loads(args.config.read_text())
-        except json.JSONDecodeError as e:
+            text = args.config.read_bytes()
+        except OSError as e:
+            raise ManifestError(f"cannot read config file {args.config} ({e.strerror})") from e
+        try:
+            payload = json.loads(text)
+        except ValueError as e:  # a JSONDecodeError, or bytes that are no Unicode text
             raise InvalidInputError(f"{args.config} is not valid JSON ({e})") from e
         config = pl.PipelineConfig.from_payload(payload)
     else:
         config = pl.PipelineConfig()
     overrides = {k: getattr(args, k) for k in ("seed", "precision") if getattr(args, k) is not None}
-    config = config.with_overrides(**overrides)
+    config = dataclasses.replace(config, **overrides)
     config.validate()
     return config
 
@@ -105,6 +106,8 @@ def main(argv=None) -> int:
                 options["values"] = None if args.values is None else json.loads(args.values)
             except json.JSONDecodeError as e:
                 raise InvalidInputError(f"--values is not valid JSON ({e})") from e
+        if args.out.exists() and not args.out.is_dir():
+            raise InvalidInputError(f"--out {args.out} is not a directory")
         pl.write_config(args.out, config, force=args.force)
         stage = getattr(pl, "stage_" + args.command.replace("-", "_"))
         stage(args.out, config, force=args.force, **options)

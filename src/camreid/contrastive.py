@@ -6,10 +6,10 @@ query q, its positive key k+ and a bank of negative keys {k-}:
     loss = -log( exp(s(q, k+)/t) / (exp(s(q, k+)/t) + sum_j exp(s(q, k-_j)/t)) )
 
 with s the cosine similarity; all embeddings arrive unit-normalized, so the
-similarities are plain dot products.  Gradients flow to q and k+ only; bank
-entries are constants.  cid_epoch draws positives as two augmentations of
-one observation, tsd_epoch draws them as two distinct detections of one
-tracklet segment.
+similarities are plain dot products.  Gradients flow to q only: k+ comes
+from the momentum key encoder, and bank entries are constants.  cid_epoch
+draws positives as two augmentations of one observation, tsd_epoch draws
+them as two distinct detections of one tracklet segment.
 """
 
 from __future__ import annotations
@@ -233,27 +233,6 @@ def _batch_info_nce(
     else:
         rows(0, b)
     return float(losses.mean()), grad_q
-
-
-def info_nce(q: np.ndarray, k_pos: np.ndarray, bank: MemoryBank, temperature: float):
-    """Loss and analytic gradients w.r.t. q and k+ for one query against the bank."""
-    qv = np.asarray(q, dtype=np.float64)
-    kv = np.asarray(k_pos, dtype=np.float64)
-    if qv.ndim != 1 or kv.ndim != 1 or qv.shape != kv.shape:
-        raise InvalidInputError("q and k_pos must be vectors of equal length")
-    if len(bank) == 0:
-        raise InvalidInputError("bank must be non-empty")
-    for name, v in (("q", qv), ("k_pos", kv)):
-        if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-            raise InvalidInputError(f"{name} must be unit-norm")
-    workspace = np.empty((1, len(bank) + 1))
-    temperature = float(temperature)
-    loss, gq = _batch_info_nce(
-        qv[None, :], kv[None, :], bank.negatives().astype(np.float64), temperature, workspace
-    )
-    # d loss/dk+ = (p_pos - 1) q / t
-    gk = (workspace[0, 0] - 1.0) * qv / temperature
-    return loss, gq[0], gk
 
 
 def _run_batch(pair, bank, optim, obs_a, obs_b, temperature, lr, workspace):

@@ -74,17 +74,14 @@ class OptimState:
     velocity_b: list[np.ndarray]
     grads: EncoderGrads = field(repr=False)
     scratch: EncoderGrads = field(repr=False)
-    base_lr: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 1e-4
 
     @staticmethod
-    def for_params(params: EncoderParams, base_lr: float = 0.03, momentum: float = 0.9,
-                   weight_decay: float = 1e-4) -> "OptimState":
+    def for_params(params: EncoderParams, momentum: float = 0.9, weight_decay: float = 1e-4) -> "OptimState":
         return OptimState(
             velocity_w=[np.zeros_like(w) for w in params.weights],
             velocity_b=[np.zeros_like(b) for b in params.biases],
-            base_lr=base_lr,
             momentum=momentum,
             weight_decay=weight_decay,
             grads=_buffers_like(params),

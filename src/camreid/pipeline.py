@@ -91,6 +91,8 @@ class PipelineConfig:
             )
         if self.min_len < 1:
             raise InvalidInputError("min_len must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         if self.min_affinity is not None and not -1.0 <= self.min_affinity <= 1.0:
             raise InvalidInputError("min_affinity must lie in [-1, 1] or be None")
         if self.ccr_k is not None and not 1 <= self.ccr_k <= self.n_cameras:
@@ -119,32 +121,45 @@ class PipelineConfig:
 
     @staticmethod
     def from_payload(payload: dict) -> "PipelineConfig":
-        payload = dict(payload)
-        version = payload.pop("schema_version", None)
+        version = payload.get("schema_version") if isinstance(payload, dict) else None
         if version != SCHEMA_VERSION:
-            raise InvalidInputError(f"unsupported config schema_version {version}")
-        known = {f.name for f in dataclasses.fields(PipelineConfig)}
-        unknown = set(payload) - known
-        if unknown:
-            raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = {}
-        if "stream" in payload:
-            kwargs["stream"] = synth.StreamConfig(**payload.pop("stream"))
-        if "contrastive" in payload:
-            kwargs["contrastive"] = ctr.ContrastiveConfig(**payload.pop("contrastive"))
-        for name, value in payload.items():
-            if name == "encoder_dims":
-                value = tuple(value)
-            kwargs[name] = value
-        config = PipelineConfig(**kwargs)
+            raise InvalidInputError(f"a config must be a JSON object with schema_version {SCHEMA_VERSION}")
+        config = _checked(PipelineConfig, {k: v for k, v in payload.items() if k != "schema_version"}, "config")
         config.validate()
         return config
 
     def fingerprint(self) -> str:
         return storage.fingerprint_payload(self.to_payload())
 
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        return dataclasses.replace(self, **kwargs)
+
+# Whether a JSON value fits a config field of each declared type; a bool is not a number.
+_FITS = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "tuple[int, ...]": lambda v: type(v) is list and all(type(d) is int for d in v),
+}
+
+
+def _checked(cls, payload, where: str):
+    """``cls`` from ``payload``, a JSON object of its fields with values of their types; nested configs alike."""
+    if not isinstance(payload, dict):
+        raise InvalidInputError(f"{where} must be a JSON object, got {payload!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(fields)
+    if unknown:
+        raise InvalidInputError(f"unknown fields in {where}: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in payload.items():
+        f = fields[name]
+        kind = f.type.removesuffix(" | None")  # a field that may be null declares its type "T | None"
+        if f.default_factory is not dataclasses.MISSING:  # a nested config
+            value = _checked(f.default_factory, value, f"{where}.{name}")
+        elif not (_FITS[kind](value) or value is None and kind != f.type):
+            raise InvalidInputError(f"{where}.{name} must be {f.type}, got {value!r}")
+        kwargs[name] = tuple(value) if kind.startswith("tuple") else value
+    return cls(**kwargs)
 
 
 @dataclass
@@ -209,7 +224,7 @@ def _train(config: PipelineConfig, pair: enc.EncoderPair, salt: int, epochs: int
     """
     cc = config.contrastive
     bank = ctr.MemoryBank(cc.bank_size, config.encoder_dims[-1], dtype=config.dtype)
-    optim = enc.OptimState.for_params(pair.query, cc.base_lr, cc.sgd_momentum, cc.weight_decay)
+    optim = enc.OptimState.for_params(pair.query, cc.sgd_momentum, cc.weight_decay)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, salt])))
     workspace = ctr.StepWorkspace.for_epoch(pair, bank, cc.batch_size, data[-1].shape[1])
     return pair, [epoch_fn(pair, bank, *data, cc, optim, rng, epoch, workspace) for epoch in range(epochs)]
@@ -262,7 +277,7 @@ def fit_ccr(
     k = min(config.ccr_k or len(present), len(present))
     if config.ccr_k is not None and k != config.ccr_k:
         log.info("ccr_k capped at %d: only %d cameras present", k, len(present))
-    projector = ccr_mod.build_projector(classifier, k=k)
+    projector = ccr_mod.build_projector(classifier.weight, k=k)
     return classifier, projector
 
 
@@ -305,8 +320,8 @@ def run_pipeline(config: PipelineConfig, bench: Benchmark | None = None) -> Pipe
     return PipelineResult(pair_cid=pair_cid, pair_tsd=pair_tsd, report=report)
 
 
-def run_steps_ablation(config: PipelineConfig) -> dict[str, ev.EvalReport]:
-    """Evaluate the four pipeline arms, sharing work where the arms overlap.
+def ablation_steps(config: PipelineConfig) -> list[dict]:
+    """Score the four pipeline arms, sharing work where the arms overlap.
 
     'cid' evaluates the instance stage alone; 'tsd' mines segments with an
     untrained encoder and trains the segment stage from scratch; 'cid+tsd'
@@ -320,12 +335,13 @@ def run_steps_ablation(config: PipelineConfig) -> dict[str, ev.EvalReport]:
     rnd = random_pair(config)
     seg_rnd = mine_segments(config, bench.train, embed_all(rnd.query, bench.train.observations))
     pair_tsd_only, _ = train_tsd(config, rnd, seg_rnd, bench.train)
-    return {
+    reports = {
         "cid": eval_report(config, *split, chained.pair_cid.query, None, arm="cid"),
         "tsd": eval_report(config, *split, pair_tsd_only.query, None, arm="tsd"),
         "cid+tsd": eval_report(config, *split, chained.pair_tsd.query, None, arm="cid+tsd"),
         "cid+tsd+ccr": chained.report,
     }
+    return [{"steps": arm, "rank1": reports[arm].rank1, "mean_ap": reports[arm].mean_ap} for arm in STEP_ARMS]
 
 
 def slice_fraction(config: PipelineConfig, train: synth.DetectionTable, fraction: float) -> synth.DetectionTable:
@@ -371,7 +387,7 @@ def ablation_data_fraction(config: PipelineConfig, values=DATA_FRACTIONS) -> lis
     """
     bench = build_benchmark(config)
     small = dataclasses.replace(config.contrastive, batch_size=64, bank_size=1024)
-    config = config.with_overrides(contrastive=small)
+    config = dataclasses.replace(config, contrastive=small)
     slices = [slice_fraction(config, bench.train, fraction) for fraction in values]
     for fraction, sliced in zip(values, slices):
         if len(sliced) < small.batch_size:
@@ -393,20 +409,9 @@ def ablation_data_fraction(config: PipelineConfig, values=DATA_FRACTIONS) -> lis
     return rows
 
 
-def ablation_steps(config: PipelineConfig) -> list[dict]:
-    reports = run_steps_ablation(config)
-    return [
-        {"steps": arm, "rank1": reports[arm].rank1, "mean_ap": reports[arm].mean_ap}
-        for arm in STEP_ARMS
-    ]
-
-
 def ablation_model_size(config: PipelineConfig, values=MODEL_SIZES) -> list[dict]:
     """Sweep the encoder widths; every arm's dims are checked before anything is built."""
-    try:
-        configs = [config.with_overrides(encoder_dims=tuple(int(d) for d in dims)) for dims in values]
-    except (TypeError, ValueError) as e:
-        raise InvalidInputError(f"model_size values must be lists of layer widths, got {values!r}") from e
+    configs = [dataclasses.replace(config, encoder_dims=tuple(dims)) for dims in values]
     for cfg in configs:
         cfg.validate()
     bench = build_benchmark(config)
@@ -432,6 +437,12 @@ ABLATIONS = {
     "min_len": ablation_min_len,
     "data_fraction": ablation_data_fraction,
     "model_size": ablation_model_size,
+}
+# Each axis's rule for its values, as words and as a test; a bool is not a number.  Steps takes none.
+_VALUE_RULES = {
+    "min_len": ("ints >= 1", lambda v: type(v) is int and v >= 1),
+    "data_fraction": ("numbers in (0, 1]", lambda v: type(v) in (int, float) and 0 < v <= 1),
+    "model_size": ("lists of int layer widths", lambda v: type(v) in (list, tuple) and all(type(d) is int for d in v)),
 }
 
 
@@ -659,15 +670,15 @@ def stage_train_cid(root: Path, config: PipelineConfig, force: bool = False) -> 
     )
 
 
-def stage_extract(root: Path, config: PipelineConfig, force: bool = False, checkpoint: str = "cid") -> bool:
+def stage_extract(root: Path, config: PipelineConfig, force: bool = False) -> bool:
     def body(stage_dir, digests):
         train = load_train_table(root, config, digests)
-        emb = embed_all(load_checkpoint(root / checkpoint).query, train.observations)
+        emb = embed_all(load_checkpoint(root / "cid").query, train.observations)
         path = stage_dir / "embeddings.rctr"
         storage.write_tensors(path, {"det_ids": train.det_id, "embeddings": emb})
         return [path], {"rows": len(emb)}
 
-    inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, checkpoint)}
+    inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, "cid")}
     return _run_stage(root, config.fingerprint(), force, "extract", "embed", inputs, body)
 
 
@@ -816,6 +827,10 @@ def stage_ablate(root: Path, config: PipelineConfig, axis: str, values=None, for
             raise InvalidInputError(f"ablation values must be a non-empty list, got {values!r}")
         if axis == "steps":
             raise InvalidInputError(f"the steps axis has fixed arms {list(STEP_ARMS)} and takes no values")
+        kind, fits = _VALUE_RULES[axis]
+        bad = [v for v in values if not fits(v)]
+        if bad:
+            raise InvalidInputError(f"{axis} values must be {kind}, got {bad[0]!r}")
 
     def body(stage_dir, digests):
         rows = ABLATIONS[axis](config) if values is None else ABLATIONS[axis](config, values)

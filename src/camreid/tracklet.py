@@ -17,11 +17,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .synth import DetectionTable
 
-@dataclass(frozen=True)
-class Match:
-    row: int
-    col: int
-
 
 @dataclass(frozen=True, eq=False)
 class SegmentTable:
@@ -60,19 +55,6 @@ def _mutual_best(aff: np.ndarray, min_affinity: float | None) -> np.ndarray:
     if min_affinity is not None:
         ok &= ~(np.take_along_axis(aff, row_best[..., None], axis=2)[..., 0] < min_affinity)
     return np.where(ok, row_best, -1)
-
-
-def mutual_matches(aff: np.ndarray, min_affinity: float | None = None) -> list[Match]:
-    """Cells that are the strict maximum of both their row and their column.
-
-    Ties produce no match.  With ``min_affinity`` set, matches below the
-    floor are discarded after the mutual test.
-    """
-    a = np.atleast_2d(np.asarray(aff))
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return []
-    best = _mutual_best(a[None], min_affinity)[0].tolist()
-    return [Match(row=i, col=j) for i, j in enumerate(best) if j >= 0]
 
 
 # Bytes of gathered embeddings and affinities that one stacked block pass

@@ -17,8 +17,8 @@ def test_build_projector_axis_aligned_hand_case():
     proj = ccr.build_projector(w, k=1)
     assert np.allclose(proj.centering, 0.0, atol=1e-12)
     assert np.allclose(np.abs(proj.v[:, 0]), [0.0, 0.0, 1.0], atol=1e-10)
-    out = ccr.apply_ccr(proj, np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out, [1.0, 2.0, 0.0], atol=1e-10)
+    out = ccr.apply_ccr(proj, np.array([[1.0, 2.0, 3.0]]))
+    assert np.allclose(out, [[1.0, 2.0, 0.0]], atol=1e-10)
 
 
 def test_apply_ccr_leaves_orthogonal_directions_alone():
@@ -62,17 +62,12 @@ def test_partial_reduction_leaves_residual():
     assert part_logit > 1e-3
 
 
-def test_apply_ccr_vector_and_matrix_agree():
-    rng = np.random.default_rng(34)
-    w = rng.standard_normal((3, 8))
-    proj = ccr.build_projector(w)
-    x = rng.standard_normal(8)
-    single = ccr.apply_ccr(proj, x)
-    batch = ccr.apply_ccr(proj, x[None, :])
-    assert single.shape == (8,)
-    assert np.allclose(single, batch[0], atol=1e-12)
-    with pytest.raises(InvalidInputError):
-        ccr.apply_ccr(proj, np.zeros(9))
+def test_apply_ccr_rejects_a_vector_and_a_wrong_width():
+    proj = ccr.build_projector(np.random.default_rng(34).standard_normal((3, 8)))
+    assert ccr.apply_ccr(proj, np.zeros((2, 8))).shape == (2, 8)
+    for bad in (np.zeros(8), np.zeros(9), np.zeros((2, 9))):
+        with pytest.raises(InvalidInputError, match="width 8"):
+            ccr.apply_ccr(proj, bad)
 
 
 def test_build_projector_validation():
@@ -128,8 +123,8 @@ def test_fit_camera_classifier_then_reduce_kills_signal():
     rng = np.random.default_rng(36)
     emb, cams = _clustered(rng, 500, 10, 3)
     clf = ccr.fit_camera_classifier(emb, cams, seed=2)
-    proj = ccr.build_projector(clf, k=3)
-    max_logit, max_dev = ccr.nullification_check(clf, proj, emb)
+    proj = ccr.build_projector(clf.weight, k=3)
+    max_logit, max_dev = ccr.nullification_check(clf.weight, proj, emb)
     assert max_logit < 1e-8
     assert max_dev < 1e-8
 

@@ -1,6 +1,7 @@
 """Command-line behavior: stage wiring, exit codes, and error records."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,8 +74,10 @@ def test_run_command_and_skip(cfg_file, tmp_path, capsys):
     assert stage_files() == before
 
 
-def test_missing_config_exits_3(tmp_path, capsys):
-    rc = _run("simulate", "--config", tmp_path / "absent.json", "--out", tmp_path / "o")
+@pytest.mark.parametrize("name", ["absent.json", "a-directory"], ids=["missing", "a-directory"])
+def test_missing_config_exits_3(tmp_path, capsys, name):
+    (tmp_path / "a-directory").mkdir()
+    rc = _run("simulate", "--config", tmp_path / name, "--out", tmp_path / "o")
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ManifestError"
@@ -82,20 +85,42 @@ def test_missing_config_exits_3(tmp_path, capsys):
 
 def test_unparsable_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    rc = _run("simulate", "--config", bad, "--out", tmp_path / "o")
+    for content in (b"{nope", b"\xff\xfe\x00{", b"\x80{}"):  # cut JSON, and bytes that hold no JSON text
+        bad.write_bytes(content)
+        rc = _run("simulate", "--config", bad, "--out", tmp_path / "o")
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize(
+    "edit, flags",
+    [
+        pytest.param(lambda p: {**p, "detector": "yolo"}, {}, id="unknown-field"),
+        pytest.param(lambda p: [p], {}, id="a-list"),
+        pytest.param(lambda p: {**p, "stream": {"nope": 1}}, {}, id="unknown-stream-field"),
+        pytest.param(lambda p: {**p, "stream": 3}, {}, id="stream-not-an-object"),
+        pytest.param(lambda p: {**p, "encoder_dims": 5}, {}, id="int-encoder-dims"),
+        pytest.param(lambda p: {**p, "encoder_dims": [24.0, 32, 16]}, {}, id="float-encoder-dims"),
+        pytest.param(lambda p: {**p, "seed": "x"}, {}, id="text-seed"),
+        pytest.param(lambda p: {**p, "contrastive": {**p["contrastive"], "batch_size": "64"}}, {}, id="text-batch-size"),
+        pytest.param(lambda p: {**p, "min_affinity": "high"}, {}, id="text-min-affinity"),
+        pytest.param(lambda p: {**p, "n_cameras": 2.5}, {}, id="fractional-n-cameras"),
+        pytest.param(lambda p: {**p, "query_frac": True}, {}, id="bool-query-frac"),
+        pytest.param(lambda p: {**p, "cross_camera_filter": 1}, {}, id="int-cross-camera-filter"),
+        pytest.param(lambda p: p, {"--seed": -1}, id="negative-seed"),
+        pytest.param(lambda p: p, {"--out": "bad.json"}, id="out-is-a-file"),
+    ],
+)
+def test_unknown_config_field_exits_2(cfg_file, tmp_path, monkeypatch, capsys, edit, flags):
+    # A config or flag the program cannot run with exits 2 with a JSON
+    # record, never a traceback, and writes nothing.
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(json.dumps(edit(json.loads(cfg_file.read_text()))))
+    args = {"--config": "bad.json", "--out": "o", **flags}
+    rc = _run("simulate", *(a for flag in args.items() for a in flag))
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
-
-
-def test_unknown_config_field_exits_2(cfg_file, tmp_path, capsys):
-    payload = json.loads(cfg_file.read_text())
-    payload["detector"] = "yolo"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    rc = _run("simulate", "--config", bad, "--out", tmp_path / "o")
-    assert rc == 2
-    capsys.readouterr()
+    assert not Path("o").exists()
 
 
 def test_stage_before_inputs_exits_3(cfg_file, tmp_path, capsys):
@@ -132,15 +157,39 @@ def test_ablate_prints_rows(cfg_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ManifestError"
 
 
-@pytest.mark.parametrize("values", ["[1", "5", "[]"])
-def test_ablate_rejects_bad_values(cfg_file, tmp_path, capsys, values):
-    # Malformed JSON, a non-list and an empty list are bad input, never the
-    # axis defaults.
-    rc = _run(
-        "ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "min_len", "--values", values
-    )
+@pytest.mark.parametrize(
+    "axis, values",
+    [
+        pytest.param("min_len", "[1", id="[1"),
+        pytest.param("min_len", "5", id="5"),
+        pytest.param("min_len", "[]", id="[]"),
+        pytest.param("min_len", '["a"]', id="min_len-text"),
+        pytest.param("min_len", "[null]", id="min_len-null"),
+        pytest.param("min_len", "[1.5]", id="min_len-fraction"),
+        pytest.param("min_len", "[2, 0]", id="min_len-zero"),
+        pytest.param("min_len", "[true]", id="min_len-bool"),
+        pytest.param("data_fraction", '["a"]', id="data_fraction-text"),
+        pytest.param("data_fraction", "[null]", id="data_fraction-null"),
+        pytest.param("data_fraction", "[0]", id="data_fraction-zero"),
+        pytest.param("data_fraction", "[0.5, 1.5]", id="data_fraction-above-one"),
+        pytest.param("data_fraction", "[true]", id="data_fraction-bool"),
+        pytest.param("model_size", "[5]", id="model_size-int"),
+        pytest.param("model_size", "[[24.7, 32, 16]]", id="model_size-fractional-width"),
+        pytest.param("model_size", "[[24, true, 16]]", id="model_size-bool-width"),
+        pytest.param("model_size", '["24x32x16"]', id="model_size-text"),
+    ],
+)
+def test_ablate_rejects_bad_values(cfg_file, tmp_path, monkeypatch, capsys, axis, values):
+    # Malformed JSON, a non-list, an empty list and an item the axis cannot
+    # take are bad input, never the axis defaults, refused before any arm runs.
+    def no_benchmark(*args, **kwargs):
+        pytest.fail("an arm ran before every value was checked")
+
+    monkeypatch.setattr(pl, "build_benchmark", no_benchmark)
+    rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", axis, "--values", values)
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
+    assert not (tmp_path / "o" / "ablation").exists()
 
 
 def test_ablate_steps_rejects_values(cfg_file, tmp_path, capsys):

@@ -191,7 +191,7 @@ def test_sgd_step_hand_arithmetic():
         weights=[np.array([[1.0]])],
         biases=[np.array([0.0])],
     )
-    optim = enc.OptimState.for_params(params, base_lr=0.1, momentum=0.9, weight_decay=0.01)
+    optim = enc.OptimState.for_params(params, momentum=0.9, weight_decay=0.01)
     grads = enc.EncoderGrads(weights=[np.array([[2.0]])], biases=[np.array([0.0])])
     enc.sgd_step(params, grads, optim, lr=0.1)
     assert params.weights[0][0, 0] == pytest.approx(0.799, abs=1e-12)

@@ -74,19 +74,21 @@ def test_payload_rejects_wrong_schema(tiny_cfg):
 
 def test_fingerprint_tracks_config(tiny_cfg):
     assert tiny_cfg.fingerprint() == tiny_cfg.fingerprint()
-    other = tiny_cfg.with_overrides(seed=12)
+    other = dataclasses.replace(tiny_cfg, seed=12)
     assert other.fingerprint() != tiny_cfg.fingerprint()
 
 
 def test_config_validation_catches_bad_fields(tiny_cfg):
     with pytest.raises(InvalidInputError):
-        tiny_cfg.with_overrides(encoder_dims=(32, 16)).validate()  # d_obs mismatch
+        dataclasses.replace(tiny_cfg, encoder_dims=(32, 16)).validate()  # d_obs mismatch
     with pytest.raises(InvalidInputError):
-        tiny_cfg.with_overrides(min_len=0).validate()
+        dataclasses.replace(tiny_cfg, min_len=0).validate()
     with pytest.raises(InvalidInputError):
-        tiny_cfg.with_overrides(ccr_k=7).validate()  # > n_cameras
+        dataclasses.replace(tiny_cfg, ccr_k=7).validate()  # > n_cameras
     with pytest.raises(InvalidInputError):
-        tiny_cfg.with_overrides(precision="f16").validate()
+        dataclasses.replace(tiny_cfg, precision="f16").validate()
+    with pytest.raises(InvalidInputError):
+        dataclasses.replace(tiny_cfg, seed=-1).validate()
 
 
 def test_derive_seed_is_stable():
@@ -207,7 +209,7 @@ def test_stage_chain_report_matches_run_pipeline(tiny_cfg, tmp_path, precision):
     # The file-backed stages and the in-memory chain give one report.  Only
     # the fingerprints differ: they name the arm, which is "cid+tsd+ccr" in
     # memory and the evaluated checkpoint, "tsd", on disk.
-    config = tiny_cfg.with_overrides(precision=precision)
+    config = dataclasses.replace(tiny_cfg, precision=precision)
     pl.stage_run(tmp_path, config)
     on_disk = json.loads((tmp_path / "eval" / "report.json").read_text())
     in_memory = json.loads(pl.run_pipeline(config).report.to_json())
@@ -216,7 +218,7 @@ def test_stage_chain_report_matches_run_pipeline(tiny_cfg, tmp_path, precision):
 
 
 def test_write_config_conflict(staged_root, tiny_cfg, tmp_path):
-    other = tiny_cfg.with_overrides(seed=99)
+    other = dataclasses.replace(tiny_cfg, seed=99)
     with pytest.raises(ManifestError):
         pl.write_config(staged_root, other)
     # force writes; run in a scratch dir so the module root stays intact
@@ -294,7 +296,7 @@ def test_load_segments_roundtrip(staged_root, tiny_cfg):
 
 
 def test_conflicting_rerun_needs_force(tiny_cfg, tmp_path):
-    other = tiny_cfg.with_overrides(seed=7)
+    other = dataclasses.replace(tiny_cfg, seed=7)
     assert pl.stage_simulate(tmp_path, tiny_cfg)
     with pytest.raises(ManifestError):
         pl.stage_simulate(tmp_path, other)
@@ -388,7 +390,7 @@ def test_stage_dying_before_its_manifest_is_rerun(tiny_cfg, tmp_path, monkeypatc
     assert pl.stage_train_cid(tmp_path, tiny_cfg)
     # The same holds when a forced rerun with another config dies over
     # finished results: they are no longer taken as done.
-    other = tiny_cfg.with_overrides(seed=12)
+    other = dataclasses.replace(tiny_cfg, seed=12)
     monkeypatch.setattr(storage, "write_manifest", crash)
     with pytest.raises(RuntimeError):
         pl.stage_train_cid(tmp_path, other, force=True)
@@ -443,7 +445,7 @@ def test_stage_ablate_min_len(tiny_cfg, tmp_path, monkeypatch):
     with pytest.raises(ManifestError):
         pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[3])
     with pytest.raises(ManifestError):
-        pl.stage_ablate(tmp_path, tiny_cfg.with_overrides(seed=12), "min_len", values=[2, 3])
+        pl.stage_ablate(tmp_path, dataclasses.replace(tiny_cfg, seed=12), "min_len", values=[2, 3])
     assert _files(tmp_path) == before
     monkeypatch.undo()
     assert pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[3], force=True)
@@ -464,7 +466,7 @@ def test_fit_ccr_handles_missing_cameras(tiny_cfg, tiny_bench):
     emb = pl.embed_all(pair.query, partial.observations)
     from camreid import ccr as ccr_mod
 
-    max_logit, _ = ccr_mod.nullification_check(classifier, projector, emb)
+    max_logit, _ = ccr_mod.nullification_check(classifier.weight, projector, emb)
     assert max_logit < 1e-3
 
 
