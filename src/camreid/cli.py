@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {**pl.STAGES, "run": "run every stage in order", "ablate": "sweep one ablation axis"}
+    stages = {name: stage.help for name, stage in pl.STAGES.items()}
+    commands = {**stages, "run": "run every stage in order", "ablate": pl.ABLATE.help}
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
@@ -112,9 +113,9 @@ def main(argv=None) -> int:
         stage = getattr(pl, "stage_" + args.command.replace("-", "_"))
         stage(args.out, config, force=args.force, **options)
         if args.command in ("evaluate", "run"):
-            print((args.out / "eval" / "report.txt").read_text(), end="")
+            print(pl.stage_paths(args.out, "evaluate")["text"].read_text(), end="")
         elif args.command == "ablate":
-            print((args.out / "ablation" / args.axis / "rows.jsonl").read_text(), end="")
+            print(pl.stage_paths(args.out, "ablate", args.axis)["rows"].read_text(), end="")
         return 0
     except CamreidError as e:
         record = {"error": type(e).__name__, "message": str(e)}

@@ -1,21 +1,21 @@
 """End-to-end pipeline: simulate, train, mine, retrain, reduce, evaluate.
 
 The in-memory functions here are the single source of truth.  Each stage_*
-function adds persistence on top for the command line: it names its input
-files and a body that calls the in-memory functions and writes its outputs,
-and one private helper, ``_run_stage``, digests the inputs, skips the stage
-when its manifest already records them, refuses to replace another run's
-results without ``force``, runs the body and writes the manifest, with the
-time, faults and peak memory the stage took.  ``STAGES`` lists the stages of ``run`` in the order of the data flow:
+function adds persistence on top for the command line: it names the files of
+earlier stages it reads and a body that calls the in-memory functions and
+writes its own files.  ``STAGES`` is the one place that names each stage's
+directory and files, in the order of the data flow:
 
     simulate -> train-cid -> extract -> trackletize -> train-tsd -> fit-ccr -> evaluate
 
-``stage_ablate`` runs one ablation axis the same way into ``ablation/<axis>/``,
-keyed by the config, the axis and the values as given.
-
-Every stage that reads the detection table declares both sim/ files as
-inputs.  The table is parsed at most once per process for each pair of their
-digests and held once, split into the training and evaluation windows.
+One private helper, ``_run_stage``, digests the inputs, skips the stage when
+its manifest already records them, refuses to replace another run's results
+without ``force``, runs the body and writes the manifest, with the time,
+faults and peak memory the stage took.  ``stage_ablate`` runs one ablation
+axis the same way into ``ablation/<axis>/``, keyed by the config, the axis
+and the values as given.  The detection table is parsed at most once per
+process for each pair of digests of its two files, and held once, split into
+the training and evaluation windows.
 
 Ground-truth identity labels exist only in the simulator's output and the
 evaluation split; every table handed to a training stage has them stripped.
@@ -84,11 +84,13 @@ class PipelineConfig:
         self.contrastive.validate()
         if self.n_identities < 2 or self.n_cameras < 2:
             raise InvalidInputError("need >= 2 identities and >= 2 cameras")
-        if len(self.encoder_dims) < 2 or self.encoder_dims[0] != self.stream.d_obs:
+        if len(self.encoder_dims) < 2 or self.encoder_dims[0] != self.stream.d_obs or min(self.encoder_dims) < 1:
             raise InvalidInputError(
                 f"encoder_dims {list(self.encoder_dims)} must start at d_obs {self.stream.d_obs} "
-                "and have >= 2 layers"
+                "and have >= 2 layers of width >= 1"
             )
+        if self.n_cameras > self.encoder_dims[-1]:  # the camera classifier needs m <= n
+            raise InvalidInputError(f"n_cameras {self.n_cameras} exceeds the embedding width {self.encoder_dims[-1]}")
         if self.min_len < 1:
             raise InvalidInputError("min_len must be >= 1")
         if self.seed < 0:
@@ -135,7 +137,7 @@ class PipelineConfig:
 # Whether a JSON value fits a config field of each declared type; a bool is not a number.
 _FITS = {
     "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
+    "float": lambda v: type(v) in (int, float) and abs(v) < float("inf"),  # not NaN, not infinite
     "bool": lambda v: type(v) is bool,
     "str": lambda v: type(v) is str,
     "tuple[int, ...]": lambda v: type(v) is list and all(type(d) is int for d in v),
@@ -450,48 +452,80 @@ _VALUE_RULES = {
 # File-backed stages
 # ---------------------------------------------------------------------------
 
-# The stages of `run`, in run order, with their commands' help text.
+
+@dataclass(frozen=True)
+class Stage:
+    help: str  # the command's help text
+    dir: str  # under the output root
+    files: dict[str, str]  # the name later stages digest and load each file by -> its file name
+
+
+# Files that more than one stage writes or reads, under the names stages read them by.
+_SIM = {"detections": "detections.jsonl", "observations": "observations.rctr"}  # the detection table
+_IDS = {"query_ids": "query_ids.jsonl", "gallery_ids": "gallery_ids.jsonl"}
+_WEIGHTS = {"checkpoint": "checkpoint.rctr", "checkpoint_meta": "checkpoint.json"}
+
+# The stages of `run`, in run order, and the files each writes: its manifest lists exactly these.  Saved
+# runs and the benchmark's checker read the files by path, and manifests record them under their names,
+# so neither may change.
 STAGES = {
-    "simulate": "generate the synthetic stream and evaluation split",
-    "train-cid": "instance-discrimination training stage",
-    "extract": "embed training detections with a trained checkpoint",
-    "trackletize": "mine tracklet segments from extracted embeddings",
-    "train-tsd": "segment-discrimination training stage",
-    "fit-ccr": "fit the camera classifier and build the reducer",
-    "evaluate": "rank the evaluation split and report CMC / mAP",
+    "simulate": Stage("generate the synthetic stream and evaluation split", "sim", {**_SIM, **_IDS}),
+    "train-cid": Stage("instance-discrimination training stage", "cid", {**_WEIGHTS, "curves": "curves.jsonl"}),
+    "extract": Stage("embed training detections with a trained checkpoint", "embed", {"embeddings": "embeddings.rctr"}),
+    "trackletize": Stage("mine tracklet segments from extracted embeddings", "segments",
+                         {"segments": "segments.jsonl", "stats": "stats.json"}),
+    "train-tsd": Stage("segment-discrimination training stage", "tsd", {**_WEIGHTS, "curves": "curves.jsonl"}),
+    "fit-ccr": Stage("fit the camera classifier and build the reducer", "ccr",
+                     {"projector": "projector.rctr", "projector_meta": "projector.json"}),
+    "evaluate": Stage("rank the evaluation split and report CMC / mAP", "eval",
+                      {"report": "report.json", "text": "report.txt"}),
 }
+# `ablate` writes under ablation/<axis>/.
+ABLATE = Stage("sweep one ablation axis", "ablation", {"rows": "rows.jsonl", "series": "rows.series"})
+
+
+def stage_paths(root: Path, stage: str, axis: str = "") -> dict[str, Path]:
+    """The files of ``stage`` under ``root``, by name; an ablation's lie under its ``axis``."""
+    row = ABLATE if stage == "ablate" else STAGES[stage]
+    return {name: root / row.dir / axis / file for name, file in row.files.items()}
 
 
 def _run_stage(
-    root: Path, fingerprint: str, force: bool, stage: str, dirname: str, inputs: dict, body, step_workers: int = 0
+    root: Path, fingerprint: str, force: bool, stage: str, reads: dict, body, step_workers: int = 0, axis: str = ""
 ) -> bool:
-    """Digest ``inputs``, then skip the stage, refuse, or run ``body`` and record it.
+    """Digest the files ``reads`` names, then skip ``stage``, refuse, or run ``body`` and record it.
 
-    Returns False when ``root/dirname`` holds a manifest with these input
-    digests, this fingerprint and intact outputs.  A manifest from another run
-    needs ``force``.  Otherwise the old manifest goes first, so a stage that
-    dies before its new one is written is run again, never taken as done;
-    then ``body(stage_dir, digests)`` writes the outputs and returns them with
-    the manifest's extra fields.  The manifest also records what the stage
-    used, from the digests to the body's return (see ``_resources``), and a
-    training stage's ``step_workers``: the threads its steps ran on.
+    ``reads`` maps earlier stages to the names of their files that this one
+    reads, the names their digests go under.  Returns False when the stage's
+    directory holds a manifest with these digests, this fingerprint and intact
+    outputs.  A manifest from another run needs ``force``.  Otherwise the old
+    manifest goes first, so a stage that dies before its new one is written is
+    run again, never taken as done, and the temp files of a write it died in
+    go too; then ``body(outputs, digests)`` writes the stage's files, given by
+    name, and returns the manifest's extra fields.  The manifest also records
+    what the stage used, from the digests to the body's return (see
+    ``_resources``), and a training stage's ``step_workers``: the threads its
+    steps ran on.
     """
     wall0, usage0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
-    stage_dir = root / dirname
-    digests = storage.validate_inputs(inputs)
+    outputs = stage_paths(root, stage, axis)
+    stage_dir = next(iter(outputs.values())).parent
+    digests = storage.validate_inputs({n: stage_paths(root, s)[n] for s, names in reads.items() for n in names})
     if storage.manifest_matches(stage_dir, digests, fingerprint):
-        log.info("skipping %s (manifest hit)", dirname)
+        log.info("skipping %s (manifest hit)", stage_dir.relative_to(root))
         return False
     manifest = stage_dir / "manifest.json"
     if manifest.exists() and not force:
         raise ManifestError(f"{stage_dir} holds results from a different run; pass --force to overwrite")
     stage_dir.mkdir(parents=True, exist_ok=True)
     manifest.unlink(missing_ok=True)
-    outputs, extra = body(stage_dir, digests)
+    for tmp in stage_dir.glob(".*.tmp"):
+        tmp.unlink()
+    extra = body(outputs, digests)
     resources = _resources(wall0, usage0)
     if step_workers:
         resources["step_workers"] = step_workers
-    storage.write_manifest(stage_dir, stage, digests, outputs, fingerprint, extra=extra, resources=resources)
+    storage.write_manifest(stage_dir, stage, digests, outputs.values(), fingerprint, extra=extra, resources=resources)
     return True
 
 
@@ -527,30 +561,16 @@ def write_config(root: Path, config: PipelineConfig, force: bool = False) -> Non
     storage.write_text(path, _json(payload))
 
 
-def _sim_inputs(root: Path) -> dict[str, Path]:
-    """The two files the detection table is read from."""
-    sim = root / "sim"
-    return {"detections": sim / "detections.jsonl", "observations": sim / "observations.rctr"}
-
-
-def _checkpoint_inputs(root: Path, name: str) -> dict[str, Path]:
-    return {"checkpoint": root / name / "checkpoint.rctr", "checkpoint_meta": root / name / "checkpoint.json"}
-
-
 def stage_simulate(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    def body(stage_dir, digests):
+    def body(out, digests):
         full, query, gallery = _simulate(config)
-        outputs = [
-            stage_dir / name
-            for name in ("detections.jsonl", "observations.rctr", "query_ids.jsonl", "gallery_ids.jsonl")
-        ]
-        storage.write_int_records(outputs[0], {c: getattr(full, c) for c in full.INT_COLUMNS})
-        storage.write_tensors(outputs[1], {"det_ids": full.det_id, "observations": full.observations})
-        storage.write_int_records(outputs[2], {"det_id": query.det_id})
-        storage.write_int_records(outputs[3], {"det_id": gallery.det_id})
-        return outputs, {"n_detections": len(full)}
+        storage.write_int_records(out["detections"], {c: getattr(full, c) for c in full.INT_COLUMNS})
+        storage.write_tensors(out["observations"], {"det_ids": full.det_id, "observations": full.observations})
+        storage.write_int_records(out["query_ids"], {"det_id": query.det_id})
+        storage.write_int_records(out["gallery_ids"], {"det_id": gallery.det_id})
+        return {"n_detections": len(full)}
 
-    return _run_stage(root, config.fingerprint(), force, "simulate", "sim", {}, body)
+    return _run_stage(root, config.fingerprint(), force, "simulate", {}, body)
 
 
 # The sim/ files of the last pair of digests seen, parsed once and split into the training window
@@ -563,18 +583,19 @@ _split_cache: dict[tuple, tuple[synth.DetectionTable, synth.DetectionTable]] = {
 def _load_split(root: Path, config: PipelineConfig, digests: dict[str, str] | None) -> tuple[synth.DetectionTable, ...]:
     """The training and evaluation windows of the detection table, cached.
 
-    ``digests`` are those of the two sim/ files (see ``_sim_inputs``); they
-    are taken here when the caller does not have them.
+    ``digests`` are those of the two files the table is read from (see
+    ``_SIM``); they are taken here when the caller does not have them.
     """
+    paths = stage_paths(root, "simulate")
     if digests is None:
-        digests = storage.validate_inputs(_sim_inputs(root))
+        digests = storage.validate_inputs({name: paths[name] for name in _SIM})
     start = synth.eval_window_start(config.stream, config.eval_window_frac)
     key = (digests["detections"], digests["observations"], start)
     if key not in _split_cache:
-        columns = storage.read_int_records(root / "sim" / "detections.jsonl", synth.DetectionTable.INT_COLUMNS)
-        tens = storage.read_tensors(root / "sim" / "observations.rctr", ("det_ids", "observations"))
+        columns = storage.read_int_records(paths["detections"], synth.DetectionTable.INT_COLUMNS)
+        tens = storage.read_tensors(paths["observations"], ("det_ids", "observations"))
         if not np.array_equal(columns["det_id"], tens["det_ids"]):
-            raise ManifestError("detections.jsonl and observations.rctr disagree on det_ids")
+            raise ManifestError(f"{paths['detections']} and {paths['observations']} disagree on det_ids")
         full = synth.DetectionTable(observations=tens["observations"], **columns)
         split = (synth.training_table(config.stream, full, config.eval_window_frac), full.select(full.frame >= start))
         for table in split:
@@ -605,27 +626,27 @@ def load_train_table(
 def load_eval_split(
     root: Path, config: PipelineConfig, digests: dict[str, str] | None = None
 ) -> tuple[synth.DetectionTable, synth.DetectionTable]:
-    """Query and gallery, with gt, selected from the evaluation window by sim/'s id lists."""
+    """Query and gallery, with gt, selected from the evaluation window by the simulated id lists."""
     window = _load_split(root, config, digests)[1]
 
-    def select(name: str) -> synth.DetectionTable:
-        ids = storage.read_int_records(root / "sim" / name, ["det_id"])["det_id"]
-        return window.select(_rows_of(window.det_id, ids, f"sim/{name}", "the evaluation window")).astype(config.dtype)
+    def select(path: Path) -> synth.DetectionTable:
+        ids = storage.read_int_records(path, ["det_id"])["det_id"]
+        return window.select(_rows_of(window.det_id, ids, str(path), "the evaluation window")).astype(config.dtype)
 
-    return select("query_ids.jsonl"), select("gallery_ids.jsonl")
+    paths = stage_paths(root, "simulate")
+    return select(paths["query_ids"]), select(paths["gallery_ids"])
 
 
 def save_checkpoint(
-    stage_dir: Path, pair: enc.EncoderPair, stats: list[ctr.TrainStats], config: PipelineConfig, stage: str
-) -> list[Path]:
-    """Weights, their metadata, and one training-curve record per epoch."""
+    out: dict[str, Path], pair: enc.EncoderPair, stats: list[ctr.TrainStats], config: PipelineConfig, stage: str
+) -> None:
+    """Weights, their metadata, and one training-curve record per epoch, into a training stage's files."""
     tensors = {}
     for side, params in (("query", pair.query), ("key", pair.key)):
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             tensors[f"{side}.w{i}"] = w
             tensors[f"{side}.b{i}"] = b
-    outputs = [stage_dir / "checkpoint.rctr", stage_dir / "checkpoint.json", stage_dir / "curves.jsonl"]
-    storage.write_tensors(outputs[0], tensors)
+    storage.write_tensors(out["checkpoint"], tensors)
     meta = {
         "dims": list(pair.query.dims),
         "dtype": config.precision,
@@ -633,17 +654,18 @@ def save_checkpoint(
         "seed": config.seed,
         "stage": stage,
     }
-    storage.write_text(outputs[1], _json(meta))
-    storage.write_records(outputs[2], (dataclasses.asdict(s) for s in stats))
-    return outputs
+    storage.write_text(out["checkpoint_meta"], _json(meta))
+    storage.write_records(out["curves"], (dataclasses.asdict(s) for s in stats))
 
 
-def load_checkpoint(stage_dir: Path) -> enc.EncoderPair:
-    meta = storage.read_json(stage_dir / "checkpoint.json", ("dims", "key_momentum"))
+def load_checkpoint(root: Path, stage: str) -> enc.EncoderPair:
+    """The encoder pair that the training stage ``stage`` saved under ``root``."""
+    paths = stage_paths(root, stage)
+    meta = storage.read_json(paths["checkpoint_meta"], ("dims", "key_momentum"))
     dims = tuple(meta["dims"])
     layers = range(len(dims) - 1)
     names = [f"{side}.{p}{i}" for side in ("query", "key") for i in layers for p in "wb"]
-    tensors = storage.read_tensors(stage_dir / "checkpoint.rctr", names)
+    tensors = storage.read_tensors(paths["checkpoint"], names)
     sides = {}
     for side in ("query", "key"):
         weights = [tensors[f"{side}.w{i}"] for i in layers]
@@ -658,47 +680,39 @@ def _step_workers(config: PipelineConfig) -> int:
 
 
 def stage_train_cid(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    def body(stage_dir, digests):
+    def body(out, digests):
         obs = load_train_table(root, config, digests).observations
         pair, stats = train_cid(config, obs)
+        save_checkpoint(out, pair, stats, config, "cid")
         # cid_epoch's batches; every one steps the optimizer but the first, which fills the fresh bank
         steps = config.contrastive.epochs_cid * (len(obs) // config.contrastive.batch_size) - 1
-        return save_checkpoint(stage_dir, pair, stats, config, "cid"), {"rows": len(obs), "steps": steps}
+        return {"rows": len(obs), "steps": steps}
 
-    return _run_stage(
-        root, config.fingerprint(), force, "train-cid", "cid", _sim_inputs(root), body, _step_workers(config)
-    )
+    return _run_stage(root, config.fingerprint(), force, "train-cid", {"simulate": _SIM}, body, _step_workers(config))
 
 
 def stage_extract(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    def body(stage_dir, digests):
+    def body(out, digests):
         train = load_train_table(root, config, digests)
-        emb = embed_all(load_checkpoint(root / "cid").query, train.observations)
-        path = stage_dir / "embeddings.rctr"
-        storage.write_tensors(path, {"det_ids": train.det_id, "embeddings": emb})
-        return [path], {"rows": len(emb)}
+        emb = embed_all(load_checkpoint(root, "train-cid").query, train.observations)
+        storage.write_tensors(out["embeddings"], {"det_ids": train.det_id, "embeddings": emb})
+        return {"rows": len(emb)}
 
-    inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, "cid")}
-    return _run_stage(root, config.fingerprint(), force, "extract", "embed", inputs, body)
+    return _run_stage(root, config.fingerprint(), force, "extract", {"simulate": _SIM, "train-cid": _WEIGHTS}, body)
 
 
 def stage_trackletize(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    def body(stage_dir, digests):
+    def body(out, digests):
         train = load_train_table(root, config, digests)
-        tens = storage.read_tensors(root / "embed" / "embeddings.rctr", ("det_ids", "embeddings"))
+        tens = storage.read_tensors(stage_paths(root, "extract")["embeddings"], ("det_ids", "embeddings"))
         if not np.array_equal(tens["det_ids"], train.det_id):
             raise ManifestError("embeddings do not align with the training detections")
         segments = mine_segments(config, train, tens["embeddings"])
-        outputs = [stage_dir / "segments.jsonl", stage_dir / "stats.json"]
         det_ids = np.split(segments.det_id, segments.start[1:])
         columns = (segments.segment_id, segments.camera_id, segments.first_frame)
-        storage.write_records(
-            outputs[0],
-            (
-                {"segment_id": s, "camera_id": c, "first_frame": f, "det_ids": ids.tolist()}
-                for s, c, f, ids in zip(*(col.tolist() for col in columns), det_ids)
-            ),
-        )
+        rows = zip(*(col.tolist() for col in columns), det_ids)
+        records = ({"segment_id": s, "camera_id": c, "first_frame": f, "det_ids": d.tolist()} for s, c, f, d in rows)
+        storage.write_records(out["segments"], records)
         stats = trk.segment_stats(segments)
         summary = {
             "n_segments": stats.n_segments,
@@ -706,16 +720,16 @@ def stage_trackletize(root: Path, config: PipelineConfig, force: bool = False) -
             "per_camera": {str(k): v for k, v in stats.per_camera.items()},
             "min_len": config.min_len,
         }
-        storage.write_text(outputs[1], _json(summary))
-        return outputs, {"segments": len(segments)}
+        storage.write_text(out["stats"], _json(summary))
+        return {"segments": len(segments)}
 
-    inputs = {**_sim_inputs(root), "embeddings": root / "embed" / "embeddings.rctr"}
-    return _run_stage(root, config.fingerprint(), force, "trackletize", "segments", inputs, body)
+    reads = {"simulate": _SIM, "extract": ("embeddings",)}
+    return _run_stage(root, config.fingerprint(), force, "trackletize", reads, body)
 
 
 def load_segments(root: Path) -> trk.SegmentTable:
-    """The segments of ``segments/segments.jsonl``; a record that is not a whole segment raises ManifestError."""
-    path = root / "segments" / "segments.jsonl"
+    """The segments that trackletize wrote; a record that is not a whole segment raises ManifestError."""
+    path = stage_paths(root, "trackletize")["segments"]
     records = storage.read_records(path)
     columns = ("segment_id", "camera_id", "first_frame")
     for i, r in enumerate(records, 1):
@@ -731,79 +745,56 @@ def load_segments(root: Path) -> trk.SegmentTable:
 
 
 def stage_train_tsd(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    def body(stage_dir, digests):
+    def body(out, digests):
         train = load_train_table(root, config, digests)
         segments = load_segments(root)
-        pair, stats = train_tsd(config, load_checkpoint(root / "cid"), segments, train)
+        pair, stats = train_tsd(config, load_checkpoint(root, "train-cid"), segments, train)
+        save_checkpoint(out, pair, stats, config, "tsd")
         # tsd_epoch's batches, from the rows of segments it can draw a pair from; the first fills the bank
         rows = int(segments.length[segments.length >= 2].sum())
         steps = config.contrastive.epochs_tsd * max(rows // config.contrastive.batch_size, 1) - 1
-        return save_checkpoint(stage_dir, pair, stats, config, "tsd"), {"rows": rows, "steps": steps}
+        return {"rows": rows, "steps": steps}
 
-    inputs = {
-        **_sim_inputs(root),
-        "segments": root / "segments" / "segments.jsonl",
-        **_checkpoint_inputs(root, "cid"),
-    }
-    return _run_stage(root, config.fingerprint(), force, "train-tsd", "tsd", inputs, body, _step_workers(config))
+    reads = {"simulate": _SIM, "trackletize": ("segments",), "train-cid": _WEIGHTS}
+    return _run_stage(root, config.fingerprint(), force, "train-tsd", reads, body, _step_workers(config))
 
 
 def stage_fit_ccr(root: Path, config: PipelineConfig, force: bool = False) -> bool:
-    def body(stage_dir, digests):
+    def body(out, digests):
         train = load_train_table(root, config, digests)
-        classifier, projector = fit_ccr(config, load_checkpoint(root / "tsd").query, train)
-        outputs = [stage_dir / "projector.rctr", stage_dir / "projector.json"]
-        storage.write_tensors(
-            outputs[0],
-            {"v": projector.v, "centering": projector.centering, "classifier_w": classifier.weight},
-        )
-        meta = {
-            "k": projector.k,
-            "m": projector.m,
-            "n": projector.n,
-            "holdout_accuracy": classifier.holdout_accuracy,
-        }
-        storage.write_text(outputs[1], _json(meta))
-        return outputs, {"rows": len(train)}
+        classifier, projector = fit_ccr(config, load_checkpoint(root, "train-tsd").query, train)
+        tensors = {"v": projector.v, "centering": projector.centering, "classifier_w": classifier.weight}
+        storage.write_tensors(out["projector"], tensors)
+        meta = {"k": projector.k, "m": projector.m, "n": projector.n, "holdout_accuracy": classifier.holdout_accuracy}
+        storage.write_text(out["projector_meta"], _json(meta))
+        return {"rows": len(train)}
 
-    inputs = {**_sim_inputs(root), **_checkpoint_inputs(root, "tsd")}
-    return _run_stage(root, config.fingerprint(), force, "fit-ccr", "ccr", inputs, body)
+    return _run_stage(root, config.fingerprint(), force, "fit-ccr", {"simulate": _SIM, "train-tsd": _WEIGHTS}, body)
 
 
 def load_projector(root: Path) -> ccr_mod.CcrProjector:
-    tens = storage.read_tensors(root / "ccr" / "projector.rctr", ("v", "centering"))
-    meta = storage.read_json(root / "ccr" / "projector.json", ("k", "m", "n"))
-    return ccr_mod.CcrProjector(
-        v=tens["v"], centering=tens["centering"], k=meta["k"], m=meta["m"], n=meta["n"]
-    )
+    paths = stage_paths(root, "fit-ccr")
+    tens = storage.read_tensors(paths["projector"], ("v", "centering"))
+    meta = storage.read_json(paths["projector_meta"], ("k", "m", "n"))
+    return ccr_mod.CcrProjector(v=tens["v"], centering=tens["centering"], k=meta["k"], m=meta["m"], n=meta["n"])
 
 
 def stage_evaluate(
-    root: Path,
-    config: PipelineConfig,
-    force: bool = False,
-    checkpoint: str = "tsd",
-    use_ccr: bool = True,
+    root: Path, config: PipelineConfig, force: bool = False, checkpoint: str = "tsd", use_ccr: bool = True
 ) -> bool:
-    def body(stage_dir, digests):
+    def body(out, digests):
         query, gallery = load_eval_split(root, config, digests)
         projector = load_projector(root) if use_ccr else None
-        params = load_checkpoint(root / checkpoint).query
+        params = load_checkpoint(root, "train-" + checkpoint).query
         report = eval_report(config, query, gallery, params, projector, arm=checkpoint)
-        outputs = [stage_dir / "report.json", stage_dir / "report.txt"]
-        storage.write_text(outputs[0], report.to_json())
-        storage.write_text(outputs[1], report.to_text() + "\n")
-        return outputs, {"checkpoint": checkpoint, "use_ccr": use_ccr, "queries": len(query), "gallery": len(gallery)}
+        storage.write_text(out["report"], report.to_json())
+        storage.write_text(out["text"], report.to_text() + "\n")
+        return {"checkpoint": checkpoint, "use_ccr": use_ccr, "queries": len(query), "gallery": len(gallery)}
 
-    inputs = {
-        **_sim_inputs(root),
-        "query_ids": root / "sim" / "query_ids.jsonl",
-        "gallery_ids": root / "sim" / "gallery_ids.jsonl",
-        **_checkpoint_inputs(root, checkpoint),
-    }
+    reads = {"simulate": {**_SIM, **_IDS}, "train-" + checkpoint: _WEIGHTS}
     if use_ccr:
-        inputs.update(projector=root / "ccr" / "projector.rctr", projector_meta=root / "ccr" / "projector.json")
-    return _run_stage(root, config.fingerprint(), force, "evaluate", "eval", inputs, body)
+        reads["fit-ccr"] = ("projector", "projector_meta")
+    return _run_stage(root, config.fingerprint(), force, "evaluate", reads, body)
 
 
 def stage_run(root: Path, config: PipelineConfig, force: bool = False) -> None:
@@ -832,14 +823,12 @@ def stage_ablate(root: Path, config: PipelineConfig, axis: str, values=None, for
         if bad:
             raise InvalidInputError(f"{axis} values must be {kind}, got {bad[0]!r}")
 
-    def body(stage_dir, digests):
+    def body(out, digests):
         rows = ABLATIONS[axis](config) if values is None else ABLATIONS[axis](config, values)
-        outputs = [stage_dir / "rows.jsonl", stage_dir / "rows.series"]
-        storage.write_records(outputs[0], rows)
+        storage.write_records(out["rows"], rows)
         cols = list(rows[0])
         lines = ["# " + "\t".join(cols), *("\t".join(str(row[c]) for c in cols) for row in rows)]
-        storage.write_text(outputs[1], "\n".join(lines) + "\n")
-        return outputs, None
+        storage.write_text(out["series"], "\n".join(lines) + "\n")
 
     fingerprint = storage.fingerprint_payload({"config": config.to_payload(), "axis": axis, "values": values})
-    return _run_stage(root, fingerprint, force, "ablate", f"ablation/{axis}", {}, body)
+    return _run_stage(root, fingerprint, force, "ablate", {}, body, axis=axis)

@@ -233,7 +233,7 @@ def write_manifest(
     stage_dir: Path | str,
     stage: str,
     inputs: dict[str, str],
-    outputs: list[Path | str],
+    outputs: Iterable[Path | str],
     config_fingerprint: str,
     extra: dict | None = None,
     resources: dict | None = None,

@@ -1,6 +1,11 @@
 """Command-line behavior: stage wiring, exit codes, and error records."""
 
+import ast
+import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,6 +112,14 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
         pytest.param(lambda p: {**p, "n_cameras": 2.5}, {}, id="fractional-n-cameras"),
         pytest.param(lambda p: {**p, "query_frac": True}, {}, id="bool-query-frac"),
         pytest.param(lambda p: {**p, "cross_camera_filter": 1}, {}, id="int-cross-camera-filter"),
+        pytest.param(
+            lambda p: {**p, "contrastive": {**p["contrastive"], "temperature": float("nan")}}, {}, id="nan-temperature"
+        ),
+        pytest.param(
+            lambda p: {**p, "stream": {**p["stream"], "entry_rate": float("inf")}}, {}, id="infinite-entry-rate"
+        ),
+        pytest.param(lambda p: {**p, "encoder_dims": [24, 0, 16]}, {}, id="zero-width"),
+        pytest.param(lambda p: {**p, "n_cameras": 20, "encoder_dims": [24, 32, 8]}, {}, id="more-cameras-than-widths"),
         pytest.param(lambda p: p, {"--seed": -1}, id="negative-seed"),
         pytest.param(lambda p: p, {"--out": "bad.json"}, id="out-is-a-file"),
     ],
@@ -228,10 +241,17 @@ def test_ablate_model_size_names_dims_that_miss_d_obs(cfg_file, tmp_path, monkey
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "InvalidInputError"
     assert "64" in record["message"] and "24" in record["message"]
-    # An arm that is not a list of widths is bad input too.
+    # An arm that is not a list of widths is bad input too, as is one whose
+    # embedding is narrower than the scene's 3 cameras.
     rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "model_size", "--values", "[5]")
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
+    values = "[[24, 32, 16], [24, 32, 2]]"
+    rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "model_size", "--values", values)
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidInputError"
+    assert "n_cameras 3" in record["message"]
 
 
 def test_train_tsd_without_a_usable_segment_exits_2(cfg_file, tmp_path, capsys):
@@ -267,11 +287,22 @@ def test_removed_knobs_are_rejected(cfg_file, tmp_path, capsys):
         assert field in json.loads(capsys.readouterr().err.strip())["message"]
 
 
+def _bench_stages():
+    """The STAGES tuple of the benchmark's bench/spans.py, read without running the file."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "spans.py").read_text())
+    assigns = [node for node in tree.body if isinstance(node, ast.Assign)]
+    return next(ast.literal_eval(a.value) for a in assigns if [ast.unparse(t) for t in a.targets] == ["STAGES"])
+
+
 def test_run_calls_each_stage_through_the_pipeline_module(cfg_file, tmp_path, monkeypatch, capsys):
     # The benchmark times set-up by replacing pipeline.stage_simulate and
-    # attributes spans by the names pipeline.stage_<stage>, so `run` must look
-    # every stage up on the module when it calls it.
-    stages = ("simulate", "train_cid", "extract", "trackletize", "train_tsd", "fit_ccr", "evaluate")
+    # wraps the plain functions pipeline.stage_<stage> in spans it names its
+    # stage metrics after, so each must be a function under the name the
+    # benchmark lists, and every command must look its stage up on the module
+    # when it runs.
+    stages = [name.replace("-", "_") for name in pl.STAGES]
+    assert list(_bench_stages()) == stages
+    assert all(inspect.isfunction(getattr(pl, "stage_" + name)) for name in [*stages, "run", "ablate"])
     called = []
     for name in stages:
         def recording(*args, _name=name, _stage=getattr(pl, "stage_" + name), **kwargs):
@@ -279,9 +310,31 @@ def test_run_calls_each_stage_through_the_pipeline_module(cfg_file, tmp_path, mo
             return _stage(*args, **kwargs)
 
         monkeypatch.setattr(pl, "stage_" + name, recording)
-    assert _run("run", "--config", cfg_file, "--out", tmp_path / "exp") == 0
+    out = tmp_path / "exp"
+    for command, name in zip(pl.STAGES, stages):
+        assert _run(command, "--config", cfg_file, "--out", out) == 0
+        assert called == [name]
+        called.clear()
+    assert _run("run", "--config", cfg_file, "--out", out) == 0
     capsys.readouterr()
-    assert called == list(stages)
+    assert called == stages
+
+
+def test_stage_directories_hold_exactly_their_rows_files(cfg_file, tmp_path, capsys):
+    # pl.STAGES names every file a stage writes: after `run` and `ablate`
+    # each stage directory holds its row's files and a manifest that lists
+    # exactly those, and the output root holds nothing else.
+    out = tmp_path / "exp"
+    assert _run("run", "--config", cfg_file, "--out", out) == 0
+    assert _run("ablate", "--config", cfg_file, "--out", out, "--axis", "min_len", "--values", "[2]") == 0
+    capsys.readouterr()
+    rows = {out / row.dir: row.files for row in pl.STAGES.values()}
+    assert sorted(out.iterdir()) == sorted([out / "config.json", out / pl.ABLATE.dir, *rows])
+    assert sorted((out / pl.ABLATE.dir).iterdir()) == [out / pl.ABLATE.dir / "min_len"]
+    rows[out / pl.ABLATE.dir / "min_len"] = pl.ABLATE.files
+    for stage_dir, files in rows.items():
+        assert sorted(p.name for p in stage_dir.iterdir()) == sorted([*files.values(), "manifest.json"])
+        assert sorted(storage.read_manifest(stage_dir)["outputs"]) == sorted(files.values())
 
 
 def test_argparse_rejects_unknown_command(capsys):
@@ -435,3 +488,67 @@ def test_corrupt_stage_input_exits_3(cfg_file, tmp_path, capsys, target, corrupt
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ManifestError"
     assert named in record["message"]
+
+
+# Runs `camreid` with its arguments after the first, which names where the process kills itself:
+# `stage_<name>` on entry to that stage, or a file name inside that file's write, once the temp
+# file is written and before it replaces the target.
+_KILLED_RUN = """
+import contextlib, os, signal, sys
+from camreid import cli, storage
+from camreid import pipeline as pl
+
+def kill(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+where = sys.argv[1]
+if where.startswith("stage_"):
+    setattr(pl, where, kill)
+else:
+    replacing = storage._replacing
+
+    @contextlib.contextmanager
+    def killing(path, mode):
+        with replacing(path, mode) as fh:
+            yield fh
+            if path.name == where:
+                fh.flush()
+                kill()
+
+    storage._replacing = killing
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _artifacts(root):
+    """Every file under root but the manifests and training curves, whose times vary, with its bytes."""
+    files = (p for p in sorted(root.rglob("*")) if p.is_file())
+    return {p.relative_to(root): p.read_bytes() for p in files if p.name not in ("manifest.json", "curves.jsonl")}
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(cfg_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("uninterrupted")
+    assert _run("run", "--config", cfg_file, "--out", out) == 0
+    return _artifacts(out)
+
+
+@pytest.mark.parametrize(
+    "where, left_behind",
+    [pytest.param("stage_" + name.replace("-", "_"), None, id=f"entering-{name}") for name in pl.STAGES]
+    + [pytest.param("segments.jsonl", "segments/.segments.jsonl.*.tmp", id="writing-segments")],
+)
+def test_killed_run_is_finished_by_a_rerun(cfg_file, tmp_path, capsys, uninterrupted, where, left_behind):
+    # A run killed at a stage boundary, or inside a write, is finished by a
+    # plain rerun: the same bytes as an uninterrupted run, and no temp file.
+    out = tmp_path / "exp"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-c", _KILLED_RUN, where, "run", "--config", str(cfg_file), "--out", str(out)]
+    assert subprocess.run(argv, env=env, capture_output=True).returncode == -9
+    if left_behind:
+        assert len(list(out.glob(left_behind))) == 1
+    assert _run("run", "--config", cfg_file, "--out", out) == 0
+    capsys.readouterr()
+    assert _artifacts(out) == uninterrupted
+    assert len(list(out.rglob("manifest.json"))) == len(pl.STAGES)
+    assert not list(out.rglob("*.tmp"))

@@ -238,7 +238,8 @@ def test_load_train_table_strips_gt(staged_root, tiny_cfg):
 def test_load_train_table_is_held_once(staged_root, tiny_cfg):
     # A second reader in the process gets the cached, read-only arrays, not
     # a copy; they are the training window of the full simulated table.
-    digests = storage.validate_inputs(pl._sim_inputs(staged_root))
+    sim = pl.stage_paths(staged_root, "simulate")
+    digests = storage.validate_inputs({name: sim[name] for name in ("detections", "observations")})
     first = pl.load_train_table(staged_root, tiny_cfg, digests)
     tracemalloc.start()
     try:
@@ -264,19 +265,19 @@ def test_load_eval_split_matches_benchmark(staged_root, tiny_cfg, tiny_bench):
 
 
 def test_checkpoint_roundtrip(staged_root):
-    pair = pl.load_checkpoint(staged_root / "cid")
+    pair = pl.load_checkpoint(staged_root, "train-cid")
     assert pair.query.dims == (24, 32, 16)
     assert pair.momentum == pytest.approx(0.999)
     for w_q, w_k in zip(pair.query.weights, pair.key.weights):
         assert w_q.shape == w_k.shape
-    again = pl.load_checkpoint(staged_root / "cid")
+    again = pl.load_checkpoint(staged_root, "train-cid")
     for a, b in zip(pair.query.weights, again.query.weights):
         np.testing.assert_array_equal(a, b)
 
 
 def test_load_checkpoint_missing_meta(tmp_path):
     with pytest.raises(ManifestError):
-        pl.load_checkpoint(tmp_path)
+        pl.load_checkpoint(tmp_path, "train-cid")
 
 
 def test_load_segments_roundtrip(staged_root, tiny_cfg):
