@@ -21,7 +21,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .evaluation import EvalProtocol, EvalReport, evaluate
-from .pipeline import PipelineConfig, build_benchmark, run_pipeline
+from .pipeline import PipelineConfig
 from .synth import StreamConfig, generate_world, simulate_stream, split_eval
 from .tracklet import assemble_segments, filter_segments, segment_purity, segment_stats
 

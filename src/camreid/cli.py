@@ -56,21 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "evaluate":
             p.add_argument("--checkpoint", choices=("cid", "tsd"), default="tsd")
-            p.add_argument(
-                "--no-ccr", dest="use_ccr", action="store_false", help="skip the camera reduction"
-            )
+            p.add_argument("--no-ccr", dest="use_ccr", action="store_false", help="skip the camera reduction")
         if name == "ablate":
-            p.add_argument(
-                "--axis",
-                choices=tuple(pl.ABLATIONS),
-                required=True,
-            )
-            p.add_argument(
-                "--values",
-                type=str,
-                default=None,
-                help="JSON list overriding the axis default values",
-            )
+            p.add_argument("--axis", choices=tuple(pl.ABLATIONS), required=True)
+            p.add_argument("--values", type=str, default=None, help="JSON list overriding the axis default values")
     return parser
 
 

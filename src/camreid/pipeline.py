@@ -1,19 +1,18 @@
 """End-to-end pipeline: simulate, train, mine, retrain, reduce, evaluate.
 
-The in-memory functions here are the single source of truth.  Each stage_*
-function adds persistence on top for the command line: it names the files of
-earlier stages it reads and a body that calls the in-memory functions and
-writes its own files.  ``STAGES`` is the one place that names each stage's
-directory and files, in the order of the data flow:
+The chain runs as file-backed stages, one stage_* function each: it names the
+files of earlier stages it reads and a body that calls the in-memory steps
+here and writes its own files.  ``STAGES`` is the one place that names each
+stage's directory and files, in the order of the data flow:
 
     simulate -> train-cid -> extract -> trackletize -> train-tsd -> fit-ccr -> evaluate
 
 One private helper, ``_run_stage``, digests the inputs, skips the stage when
 its manifest already records them, refuses to replace another run's results
 without ``force``, runs the body and writes the manifest, with the time,
-faults and peak memory the stage took.  ``stage_ablate`` runs one ablation
-axis the same way into ``ablation/<axis>/``, keyed by the config, the axis
-and the values as given.  The detection table is parsed at most once per
+faults and peak memory the stage took.  ``stage_ablate`` sweeps one ablation
+axis into ``ablation/<axis>/`` the same way; each arm is a run of the stages
+in a directory of its own.  The detection table is parsed at most once per
 process for each pair of digests of its two files, and held once, split into
 the training and evaluation windows.
 
@@ -26,7 +25,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import resource
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -164,38 +165,12 @@ def _checked(cls, payload, where: str):
     return cls(**kwargs)
 
 
-@dataclass
-class Benchmark:
-    train: synth.DetectionTable  # gt stripped
-    query: synth.DetectionTable
-    gallery: synth.DetectionTable
-    gt_of_det: np.ndarray  # the identity of each det id; diagnostics and evaluation only
-
-
-@dataclass
-class PipelineResult:
-    pair_cid: enc.EncoderPair
-    pair_tsd: enc.EncoderPair
-    report: ev.EvalReport
-
-
 def _simulate(config: PipelineConfig) -> tuple[synth.DetectionTable, synth.DetectionTable, synth.DetectionTable]:
     """Generate world and stream in the working dtype; the full table, query and gallery."""
     config.validate()
     world = synth.generate_world(config.stream, config.n_identities, config.n_cameras, config.seed)
     full = synth.simulate_stream(world, config.dtype)
     return (full, *synth.split_eval(world, full, config.query_frac, config.eval_window_frac))
-
-
-def build_benchmark(config: PipelineConfig) -> Benchmark:
-    """Generate world and stream, then carve the fixed evaluation split."""
-    full, query, gallery = _simulate(config)
-    return Benchmark(
-        train=synth.training_table(config.stream, full, config.eval_window_frac),
-        query=query,
-        gallery=gallery,
-        gt_of_det=full.gt_id,  # the stream's det ids are its row numbers
-    )
 
 
 def embed_all(params: enc.EncoderParams, observations: np.ndarray, batch_size: int = 2048) -> np.ndarray:
@@ -309,145 +284,6 @@ def random_pair(config: PipelineConfig) -> enc.EncoderPair:
     return _init_pair(config, _SALT_RANDOM_INIT)
 
 
-def run_pipeline(config: PipelineConfig, bench: Benchmark | None = None) -> PipelineResult:
-    """Default full run: instance stage, mining, segment stage, reduction, eval."""
-    if bench is None:
-        bench = build_benchmark(config)
-    pair_cid, _ = train_cid(config, bench.train.observations)
-    embeddings = embed_all(pair_cid.query, bench.train.observations)
-    segments = mine_segments(config, bench.train, embeddings)
-    pair_tsd, _ = train_tsd(config, pair_cid, segments, bench.train)
-    _, projector = fit_ccr(config, pair_tsd.query, bench.train)
-    report = eval_report(config, bench.query, bench.gallery, pair_tsd.query, projector, arm="cid+tsd+ccr")
-    return PipelineResult(pair_cid=pair_cid, pair_tsd=pair_tsd, report=report)
-
-
-def ablation_steps(config: PipelineConfig) -> list[dict]:
-    """Score the four pipeline arms, sharing work where the arms overlap.
-
-    'cid' evaluates the instance stage alone; 'tsd' mines segments with an
-    untrained encoder and trains the segment stage from scratch; 'cid+tsd'
-    chains the stages; 'cid+tsd+ccr' adds the camera reduction.  The three
-    chained arms are scored from one `run_pipeline` call.
-    """
-    bench = build_benchmark(config)
-    split = (bench.query, bench.gallery)
-    chained = run_pipeline(config, bench)
-
-    rnd = random_pair(config)
-    seg_rnd = mine_segments(config, bench.train, embed_all(rnd.query, bench.train.observations))
-    pair_tsd_only, _ = train_tsd(config, rnd, seg_rnd, bench.train)
-    reports = {
-        "cid": eval_report(config, *split, chained.pair_cid.query, None, arm="cid"),
-        "tsd": eval_report(config, *split, pair_tsd_only.query, None, arm="tsd"),
-        "cid+tsd": eval_report(config, *split, chained.pair_tsd.query, None, arm="cid+tsd"),
-        "cid+tsd+ccr": chained.report,
-    }
-    return [{"steps": arm, "rank1": reports[arm].rank1, "mean_ap": reports[arm].mean_ap} for arm in STEP_ARMS]
-
-
-def slice_fraction(config: PipelineConfig, train: synth.DetectionTable, fraction: float) -> synth.DetectionTable:
-    """Contiguous leading time slice of the training window."""
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidInputError("fraction must lie in (0, 1]")
-    window = synth.eval_window_start(config.stream, config.eval_window_frac)
-    cutoff = max(int(np.ceil(fraction * window)), 1)
-    return train.select(train.frame < cutoff)
-
-
-def ablation_min_len(config: PipelineConfig, values=MIN_LEN_VALUES) -> list[dict]:
-    """Sweep the segment length threshold; reports purity and retrieval."""
-    bench = build_benchmark(config)
-    pair_cid, _ = train_cid(config, bench.train.observations)
-    embeddings = embed_all(pair_cid.query, bench.train.observations)
-    raw = trk.assemble_segments(bench.train, embeddings, min_affinity=config.min_affinity)
-    rows = []
-    for min_len in values:
-        kept = trk.filter_segments(raw, min_len)
-        pair_tsd, _ = train_tsd(config, pair_cid, kept, bench.train)
-        report = eval_report(config, bench.query, bench.gallery, pair_tsd.query, None, arm=f"min_len={min_len}")
-        rows.append(
-            {
-                "min_len": int(min_len),
-                "n_segments": trk.segment_stats(kept).n_segments,
-                "purity": trk.segment_purity(kept, bench.gt_of_det),
-                "rank1": report.rank1,
-                "mean_ap": report.mean_ap,
-            }
-        )
-    return rows
-
-
-def ablation_data_fraction(config: PipelineConfig, values=DATA_FRACTIONS) -> list[dict]:
-    """Sweep contiguous time slices of the training window.
-
-    Each arm runs the full pipeline on its slice and is scored on the
-    unchanged split.  The whole grid runs with a reduced batch and bank so
-    the smallest slice can still form full batches; the override is uniform
-    across fractions to keep the points comparable.  Every slice is checked
-    before any arm trains.
-    """
-    bench = build_benchmark(config)
-    small = dataclasses.replace(config.contrastive, batch_size=64, bank_size=1024)
-    config = dataclasses.replace(config, contrastive=small)
-    slices = [slice_fraction(config, bench.train, fraction) for fraction in values]
-    for fraction, sliced in zip(values, slices):
-        if len(sliced) < small.batch_size:
-            raise InvalidInputError(
-                f"data_fraction {fraction} leaves {len(sliced)} training detections, "
-                f"fewer than the batch size {small.batch_size}"
-            )
-    rows = []
-    for fraction, sliced in zip(values, slices):
-        report = run_pipeline(config, dataclasses.replace(bench, train=sliced)).report
-        rows.append(
-            {
-                "data_fraction": float(fraction),
-                "n_train": len(sliced),
-                "rank1": report.rank1,
-                "mean_ap": report.mean_ap,
-            }
-        )
-    return rows
-
-
-def ablation_model_size(config: PipelineConfig, values=MODEL_SIZES) -> list[dict]:
-    """Sweep the encoder widths; every arm's dims are checked before anything is built."""
-    configs = [dataclasses.replace(config, encoder_dims=tuple(dims)) for dims in values]
-    for cfg in configs:
-        cfg.validate()
-    bench = build_benchmark(config)
-    rows = []
-    for dims, cfg in zip(values, configs):
-        result = run_pipeline(cfg, bench=bench)
-        rows.append(
-            {
-                "encoder_dims": "x".join(str(d) for d in dims),
-                "n_params": int(
-                    sum(w.size for w in result.pair_tsd.query.weights)
-                    + sum(b.size for b in result.pair_tsd.query.biases)
-                ),
-                "rank1": result.report.rank1,
-                "mean_ap": result.report.mean_ap,
-            }
-        )
-    return rows
-
-
-ABLATIONS = {
-    "steps": ablation_steps,
-    "min_len": ablation_min_len,
-    "data_fraction": ablation_data_fraction,
-    "model_size": ablation_model_size,
-}
-# Each axis's rule for its values, as words and as a test; a bool is not a number.  Steps takes none.
-_VALUE_RULES = {
-    "min_len": ("ints >= 1", lambda v: type(v) is int and v >= 1),
-    "data_fraction": ("numbers in (0, 1]", lambda v: type(v) in (int, float) and 0 < v <= 1),
-    "model_size": ("lists of int layer widths", lambda v: type(v) in (list, tuple) and all(type(d) is int for d in v)),
-}
-
-
 # ---------------------------------------------------------------------------
 # File-backed stages
 # ---------------------------------------------------------------------------
@@ -490,18 +326,18 @@ def stage_paths(root: Path, stage: str, axis: str = "") -> dict[str, Path]:
     return {name: root / row.dir / axis / file for name, file in row.files.items()}
 
 
-def _run_stage(
-    root: Path, fingerprint: str, force: bool, stage: str, reads: dict, body, step_workers: int = 0, axis: str = ""
-) -> bool:
+def _run_stage(root: Path, fingerprint: str, force: bool, stage: str, reads: dict, body,
+               step_workers: int = 0, axis: str = "", reads_root: Path | None = None) -> bool:
     """Digest the files ``reads`` names, then skip ``stage``, refuse, or run ``body`` and record it.
 
     ``reads`` maps earlier stages to the names of their files that this one
-    reads, the names their digests go under.  Returns False when the stage's
-    directory holds a manifest with these digests, this fingerprint and intact
-    outputs.  A manifest from another run needs ``force``.  Otherwise the old
-    manifest goes first, so a stage that dies before its new one is written is
-    run again, never taken as done, and the temp files of a write it died in
-    go too; then ``body(outputs, digests)`` writes the stage's files, given by
+    reads, the names their digests go under; they lie under ``reads_root`` if
+    given, else ``root``.  Returns False when the stage's directory holds a
+    manifest with these digests, this fingerprint and intact outputs.  A
+    manifest from another run needs ``force``.  Otherwise the old manifest
+    goes first, so a stage that dies before its new one is written is run
+    again, never taken as done, and the temp files of a write it died in go
+    too; then ``body(outputs, digests)`` writes the stage's files, given by
     name, and returns the manifest's extra fields.  The manifest also records
     what the stage used, from the digests to the body's return (see
     ``_resources``), and a training stage's ``step_workers``: the threads its
@@ -510,7 +346,8 @@ def _run_stage(
     wall0, usage0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     outputs = stage_paths(root, stage, axis)
     stage_dir = next(iter(outputs.values())).parent
-    digests = storage.validate_inputs({n: stage_paths(root, s)[n] for s, names in reads.items() for n in names})
+    src = reads_root or root
+    digests = storage.validate_inputs({n: stage_paths(src, s)[n] for s, names in reads.items() for n in names})
     if storage.manifest_matches(stage_dir, digests, fingerprint):
         log.info("skipping %s (manifest hit)", stage_dir.relative_to(root))
         return False
@@ -552,6 +389,8 @@ def _json(payload: dict) -> str:
 def write_config(root: Path, config: PipelineConfig, force: bool = False) -> None:
     root.mkdir(parents=True, exist_ok=True)
     path = root / "config.json"
+    for tmp in root.glob(f".{path.name}.*.tmp"):  # left by a write that a kill cut short
+        tmp.unlink()
     payload = config.to_payload()
     if path.exists():
         if storage.read_json(path) == payload:
@@ -561,16 +400,30 @@ def write_config(root: Path, config: PipelineConfig, force: bool = False) -> Non
     storage.write_text(path, _json(payload))
 
 
+def _write_sim(out: dict[str, Path], full, query, gallery) -> dict:
+    """The detection table ``full`` and the det ids of the ``query`` and ``gallery`` tables, into simulate's files."""
+    storage.write_int_records(out["detections"], {c: getattr(full, c) for c in full.INT_COLUMNS})
+    storage.write_tensors(out["observations"], {"det_ids": full.det_id, "observations": full.observations})
+    storage.write_int_records(out["query_ids"], {"det_id": query.det_id})
+    storage.write_int_records(out["gallery_ids"], {"det_id": gallery.det_id})
+    return {"n_detections": len(full)}
+
+
 def stage_simulate(root: Path, config: PipelineConfig, force: bool = False) -> bool:
     def body(out, digests):
-        full, query, gallery = _simulate(config)
-        storage.write_int_records(out["detections"], {c: getattr(full, c) for c in full.INT_COLUMNS})
-        storage.write_tensors(out["observations"], {"det_ids": full.det_id, "observations": full.observations})
-        storage.write_int_records(out["query_ids"], {"det_id": query.det_id})
-        storage.write_int_records(out["gallery_ids"], {"det_id": gallery.det_id})
-        return {"n_detections": len(full)}
+        return _write_sim(out, *_simulate(config))
 
     return _run_stage(root, config.fingerprint(), force, "simulate", {}, body)
+
+
+def _read_table(root: Path) -> synth.DetectionTable:
+    """The whole detection table that simulate wrote under ``root``, with gt."""
+    paths = stage_paths(root, "simulate")
+    columns = storage.read_int_records(paths["detections"], synth.DetectionTable.INT_COLUMNS)
+    tens = storage.read_tensors(paths["observations"], ("det_ids", "observations"))
+    if not np.array_equal(columns["det_id"], tens["det_ids"]):
+        raise ManifestError(f"{paths['detections']} and {paths['observations']} disagree on det_ids")
+    return synth.DetectionTable(observations=tens["observations"], **columns)
 
 
 # The sim/ files of the last pair of digests seen, parsed once and split into the training window
@@ -586,17 +439,13 @@ def _load_split(root: Path, config: PipelineConfig, digests: dict[str, str] | No
     ``digests`` are those of the two files the table is read from (see
     ``_SIM``); they are taken here when the caller does not have them.
     """
-    paths = stage_paths(root, "simulate")
     if digests is None:
+        paths = stage_paths(root, "simulate")
         digests = storage.validate_inputs({name: paths[name] for name in _SIM})
     start = synth.eval_window_start(config.stream, config.eval_window_frac)
     key = (digests["detections"], digests["observations"], start)
     if key not in _split_cache:
-        columns = storage.read_int_records(paths["detections"], synth.DetectionTable.INT_COLUMNS)
-        tens = storage.read_tensors(paths["observations"], ("det_ids", "observations"))
-        if not np.array_equal(columns["det_id"], tens["det_ids"]):
-            raise ManifestError(f"{paths['detections']} and {paths['observations']} disagree on det_ids")
-        full = synth.DetectionTable(observations=tens["observations"], **columns)
+        full = _read_table(root)
         split = (synth.training_table(config.stream, full, config.eval_window_frac), full.select(full.frame >= start))
         for table in split:
             for f in dataclasses.fields(table):
@@ -797,14 +646,145 @@ def stage_evaluate(
     return _run_stage(root, config.fingerprint(), force, "evaluate", reads, body)
 
 
+def _chain(root: Path, config: PipelineConfig, force: bool, names, **evaluate) -> None:
+    """The stages ``names`` in order, each looked up on the module when it is called, evaluate with ``evaluate``."""
+    for name in names:
+        globals()["stage_" + name.replace("-", "_")](root, config, force, **(evaluate if name == "evaluate" else {}))
+
+
 def stage_run(root: Path, config: PipelineConfig, force: bool = False) -> None:
     """Every stage in ``STAGES`` order, each looked up on the module when it is called."""
-    for name in STAGES:
-        globals()["stage_" + name.replace("-", "_")](root, config, force)
+    _chain(root, config, force, STAGES)
+
+
+# Ablations: an axis runs the stages its arms share with `run` in the output root, where a `run` of the
+# same config has left them, then each arm's own stages in ablation/<axis>/<arm>/.
+
+
+def _arm(root: Path, axis: str, label, shared=()) -> Path:
+    """``ablation/<axis>/<label>/``, holding hard links to the files of ``root``'s stages ``shared``.
+
+    A link costs no disk space.  A stage that runs again in ``root`` replaces its files, never writing into them.
+    """
+    arm = stage_paths(root, "ablate", axis)["rows"].parent / str(label)
+    for name in shared:
+        shutil.rmtree(arm / STAGES[name].dir, ignore_errors=True)
+        shutil.copytree(root / STAGES[name].dir, arm / STAGES[name].dir, copy_function=os.link)
+    return arm
+
+
+def _scores(root: Path) -> dict:
+    """The rank-1 and mAP of the report that evaluate wrote under ``root``; its repr floats read back exactly."""
+    report = storage.read_json(stage_paths(root, "evaluate")["report"], ("cmc", "mean_ap"))
+    return {"rank1": float(report["cmc"]["1"]), "mean_ap": float(report["mean_ap"])}
+
+
+def ablation_steps(root: Path, config: PipelineConfig, force: bool) -> list[dict]:
+    """Score the four pipeline arms; 'cid+tsd+ccr' is `run` in ``root``.
+
+    'cid' and 'cid+tsd' score its two checkpoints without the camera reduction, and 'tsd' is trained in memory
+    on the segments of an untrained encoder.
+    """
+    stage_run(root, config, force)
+    train, split = load_train_table(root, config), load_eval_split(root, config)
+    rnd = random_pair(config)
+    tsd_only, _ = train_tsd(config, rnd, mine_segments(config, train, embed_all(rnd.query, train.observations)), train)
+    params = {"cid": load_checkpoint(root, "train-cid"), "tsd": tsd_only, "cid+tsd": load_checkpoint(root, "train-tsd")}
+    reports = {arm: eval_report(config, *split, pair.query, None, arm=arm) for arm, pair in params.items()}
+    scores = {arm: {"rank1": r.rank1, "mean_ap": r.mean_ap} for arm, r in reports.items()}
+    scores["cid+tsd+ccr"] = _scores(root)
+    return [{"steps": arm, **scores[arm]} for arm in STEP_ARMS]
+
+
+def ablation_min_len(root: Path, config: PipelineConfig, force: bool, values=MIN_LEN_VALUES) -> list[dict]:
+    """Sweep the segment length threshold over one CID stage; reports purity and retrieval without CCR."""
+    shared = ("simulate", "train-cid", "extract")
+    _chain(root, config, force, shared)
+    gt_of_det = _read_table(root).gt_id  # diagnostics only: a det id is its row number
+    rows = []
+    for min_len in values:
+        arm = _arm(root, "min_len", min_len, shared)
+        arm_config = dataclasses.replace(config, min_len=min_len)
+        _chain(arm, arm_config, force, ("trackletize", "train-tsd", "evaluate"), use_ccr=False)
+        segments = load_segments(arm)
+        purity = trk.segment_purity(segments, gt_of_det)
+        rows.append({"min_len": int(min_len), "n_segments": len(segments), "purity": purity, **_scores(arm)})
+    return rows
+
+
+def slice_fraction(config: PipelineConfig, table: synth.DetectionTable, fraction: float) -> synth.DetectionTable:
+    """``table`` without the training rows at or past ``fraction``'s cutoff: a leading time slice of them."""
+    if not 0.0 < fraction <= 1.0:
+        raise InvalidInputError("fraction must lie in (0, 1]")
+    window = synth.eval_window_start(config.stream, config.eval_window_frac)
+    cutoff = max(int(np.ceil(fraction * window)), 1)
+    return table.select((table.frame < cutoff) | (table.frame >= window))
+
+
+def ablation_data_fraction(root: Path, config: PipelineConfig, force: bool, values=DATA_FRACTIONS) -> list[dict]:
+    """Sweep contiguous time slices of the training window, each an arm's sim/, scored on the unchanged split.
+
+    The whole grid runs with a reduced batch and bank so the smallest slice
+    can still form full batches, and every slice is checked before any arm trains.
+    """
+    stage_simulate(root, config, force)
+    small = dataclasses.replace(config.contrastive, batch_size=64, bank_size=1024)
+    config = dataclasses.replace(config, contrastive=small)
+    train = load_train_table(root, config)
+    sizes = [len(slice_fraction(config, train, fraction)) for fraction in values]
+    for fraction, n in zip(values, sizes):
+        if n < small.batch_size:
+            raise InvalidInputError(
+                f"data_fraction {fraction} leaves {n} training detections, fewer than the batch size {small.batch_size}"
+            )
+    rows = []
+    for fraction, n_train in zip(map(float, values), sizes):
+        arm = _arm(root, "data_fraction", fraction)
+
+        def body(out, digests):
+            split = load_eval_split(root, config, digests)
+            return _write_sim(out, slice_fraction(config, _read_table(root), fraction), *split)
+
+        fingerprint = storage.fingerprint_payload({"config": config.to_payload(), "data_fraction": fraction})
+        _run_stage(arm, fingerprint, force, "simulate", {"simulate": STAGES["simulate"].files}, body, reads_root=root)
+        _chain(arm, config, force, tuple(STAGES)[1:])
+        rows.append({"data_fraction": fraction, "n_train": n_train, **_scores(arm)})
+    return rows
+
+
+def ablation_model_size(root: Path, config: PipelineConfig, force: bool, values=MODEL_SIZES) -> list[dict]:
+    """Sweep the encoder widths; every arm's dims are checked before anything is simulated."""
+    configs = [dataclasses.replace(config, encoder_dims=tuple(dims)) for dims in values]
+    for arm_config in configs:
+        arm_config.validate()
+    stage_simulate(root, config, force)
+    rows = []
+    for arm_config in configs:
+        label = "x".join(str(d) for d in arm_config.encoder_dims)
+        arm = _arm(root, "model_size", label, ("simulate",))
+        _chain(arm, arm_config, force, tuple(STAGES)[1:])
+        params = load_checkpoint(arm, "train-tsd").query
+        n_params = sum(a.size for a in (*params.weights, *params.biases))
+        rows.append({"encoder_dims": label, "n_params": n_params, **_scores(arm)})
+    return rows
+
+
+ABLATIONS = {
+    "steps": ablation_steps,
+    "min_len": ablation_min_len,
+    "data_fraction": ablation_data_fraction,
+    "model_size": ablation_model_size,
+}
+# Each axis's rule for its values, as words and as a test; a bool is not a number.  Steps takes none.
+_VALUE_RULES = {
+    "min_len": ("ints >= 1", lambda v: type(v) is int and v >= 1),
+    "data_fraction": ("numbers in (0, 1]", lambda v: type(v) in (int, float) and 0 < v <= 1),
+    "model_size": ("lists of int layer widths", lambda v: type(v) in (list, tuple) and all(type(d) is int for d in v)),
+}
 
 
 def stage_ablate(root: Path, config: PipelineConfig, axis: str, values=None, force: bool = False) -> bool:
-    """Sweep one ablation axis into ``ablation/<axis>/rows.jsonl`` and ``rows.series``.
+    """Sweep one ablation axis into ``ablation/<axis>/``: ``rows.jsonl``, ``rows.series`` and a directory per arm.
 
     ``values=None`` uses the axis defaults; the steps axis has fixed arms and
     takes no values.  Both are checked before anything is written.  The
@@ -824,7 +804,8 @@ def stage_ablate(root: Path, config: PipelineConfig, axis: str, values=None, for
             raise InvalidInputError(f"{axis} values must be {kind}, got {bad[0]!r}")
 
     def body(out, digests):
-        rows = ABLATIONS[axis](config) if values is None else ABLATIONS[axis](config, values)
+        run_axis = ABLATIONS[axis]
+        rows = run_axis(root, config, force) if values is None else run_axis(root, config, force, values)
         storage.write_records(out["rows"], rows)
         cols = list(rows[0])
         lines = ["# " + "\t".join(cols), *("\t".join(str(row[c]) for c in cols) for row in rows)]

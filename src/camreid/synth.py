@@ -58,7 +58,6 @@ _APPEARANCE_MAX_TRIES = 1000
 class StreamConfig:
     """Generation parameters for one synthetic benchmark stream."""
 
-    fps: float = 2.0
     duration_frames: int = 2000
     entry_rate: float = 0.10
     dwell_mean: float = 15.0
@@ -77,8 +76,8 @@ class StreamConfig:
     residual_bias_scale: float = 0.05
 
     def validate(self) -> None:
-        if self.fps <= 0 or self.duration_frames < 1:
-            raise InvalidInputError("fps must be positive and duration_frames >= 1")
+        if self.duration_frames < 1:
+            raise InvalidInputError("duration_frames must be >= 1")
         if self.entry_rate < 0 or self.dwell_mean < 1:
             raise InvalidInputError("entry_rate must be >= 0 and dwell_mean >= 1")
         for name in ("crossing_prob", "ghost_rate", "dropout_prob"):

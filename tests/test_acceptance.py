@@ -295,11 +295,12 @@ def test_06_each_stage_contributes(tmp_path, capsys):
 # ----------------------------------------------------------- 07 data scaling
 
 
-def test_07_accuracy_grows_with_training_data(capsys):
-    config = pl.PipelineConfig()
+def test_07_accuracy_grows_with_training_data(tmp_path, capsys):
     t0 = time.perf_counter()
-    rows = pl.ablation_data_fraction(config, values=(0.01, 0.1, 1.0))
+    rc = cli.main(["ablate", "--axis", "data_fraction", "--values", "[0.01, 0.1, 1.0]", "--out", str(tmp_path)])
     elapsed = time.perf_counter() - t0
+    assert rc == 0, capsys.readouterr().err
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     r1 = [row["rank1"] for row in rows]
     ok = r1[0] < r1[1] < r1[2] and elapsed <= 900.0
     _verdict(
@@ -314,12 +315,14 @@ def test_07_accuracy_grows_with_training_data(capsys):
 # ------------------------------------------------------ 08 segment length sweep
 
 
-def test_08_min_len_trades_purity_for_coverage(capsys):
+def test_08_min_len_trades_purity_for_coverage(tmp_path, capsys):
     seeds = (0, 1, 2)
     details = []
     all_ok = True
     for seed in seeds:
-        rows = pl.ablation_min_len(pl.PipelineConfig(seed=seed))
+        rc = cli.main(["ablate", "--axis", "min_len", "--seed", str(seed), "--out", str(tmp_path / str(seed))])
+        assert rc == 0, capsys.readouterr().err
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         purities = [row["purity"] for row in rows]
         r1s = [row["rank1"] for row in rows]
         monotone = all(b >= a for a, b in zip(purities[:-1], purities[1:]))

@@ -120,6 +120,7 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
         ),
         pytest.param(lambda p: {**p, "encoder_dims": [24, 0, 16]}, {}, id="zero-width"),
         pytest.param(lambda p: {**p, "n_cameras": 20, "encoder_dims": [24, 32, 8]}, {}, id="more-cameras-than-widths"),
+        pytest.param(lambda p: {**p, "stream": {**p["stream"], "fps": 2.0}}, {}, id="removed-fps"),
         pytest.param(lambda p: p, {"--seed": -1}, id="negative-seed"),
         pytest.param(lambda p: p, {"--out": "bad.json"}, id="out-is-a-file"),
     ],
@@ -195,10 +196,10 @@ def test_ablate_prints_rows(cfg_file, tmp_path, capsys):
 def test_ablate_rejects_bad_values(cfg_file, tmp_path, monkeypatch, capsys, axis, values):
     # Malformed JSON, a non-list, an empty list and an item the axis cannot
     # take are bad input, never the axis defaults, refused before any arm runs.
-    def no_benchmark(*args, **kwargs):
+    def no_simulation(*args, **kwargs):
         pytest.fail("an arm ran before every value was checked")
 
-    monkeypatch.setattr(pl, "build_benchmark", no_benchmark)
+    monkeypatch.setattr(pl, "stage_simulate", no_simulation)
     rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", axis, "--values", values)
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
@@ -232,10 +233,10 @@ def test_ablate_model_size_names_dims_that_miss_d_obs(cfg_file, tmp_path, monkey
     # The default model-size grid starts every arm at 64, but this scene's
     # observations have 24 dims; the grid is refused before the benchmark
     # is simulated, naming both.
-    def no_benchmark(*args, **kwargs):
-        pytest.fail("the benchmark was built before every arm's dims were checked")
+    def no_simulation(*args, **kwargs):
+        pytest.fail("the benchmark was simulated before every arm's dims were checked")
 
-    monkeypatch.setattr(pl, "build_benchmark", no_benchmark)
+    monkeypatch.setattr(pl, "stage_simulate", no_simulation)
     rc = _run("ablate", "--config", cfg_file, "--out", tmp_path / "o", "--axis", "model_size")
     assert rc == 2
     record = json.loads(capsys.readouterr().err.strip())
@@ -322,18 +323,29 @@ def test_run_calls_each_stage_through_the_pipeline_module(cfg_file, tmp_path, mo
 
 def test_stage_directories_hold_exactly_their_rows_files(cfg_file, tmp_path, capsys):
     # pl.STAGES names every file a stage writes: after `run` and `ablate`
-    # each stage directory holds its row's files and a manifest that lists
-    # exactly those, and the output root holds nothing else.
+    # each stage directory, in the output root and in each arm, holds its
+    # row's files and a manifest that lists exactly those, and the output
+    # root, the axis directory and each arm hold nothing else.
     out = tmp_path / "exp"
     assert _run("run", "--config", cfg_file, "--out", out) == 0
-    assert _run("ablate", "--config", cfg_file, "--out", out, "--axis", "min_len", "--values", "[2]") == 0
+    for axis, values in (("min_len", "[2]"), ("model_size", "[[24, 16, 8]]"), ("data_fraction", "[0.5]")):
+        assert _run("ablate", "--config", cfg_file, "--out", out, "--axis", axis, "--values", values) == 0
     capsys.readouterr()
     rows = {out / row.dir: row.files for row in pl.STAGES.values()}
     assert sorted(out.iterdir()) == sorted([out / "config.json", out / pl.ABLATE.dir, *rows])
-    assert sorted((out / pl.ABLATE.dir).iterdir()) == [out / pl.ABLATE.dir / "min_len"]
-    rows[out / pl.ABLATE.dir / "min_len"] = pl.ABLATE.files
+    axes = {"min_len": "2", "model_size": "24x16x8", "data_fraction": "0.5"}
+    assert sorted((out / pl.ABLATE.dir).iterdir()) == sorted(out / pl.ABLATE.dir / axis for axis in axes)
+    for axis, label in axes.items():
+        axis_dir, arm = out / pl.ABLATE.dir / axis, out / pl.ABLATE.dir / axis / label
+        files = [*pl.ABLATE.files.values(), "manifest.json"]
+        assert sorted(axis_dir.iterdir()) == sorted([arm, *(axis_dir / f for f in files)])
+        rows[axis_dir] = pl.ABLATE.files
+        # a min_len arm is scored without the camera reduction, so it fits none
+        stages = [row for name, row in pl.STAGES.items() if not (axis == "min_len" and name == "fit-ccr")]
+        assert sorted(arm.iterdir()) == sorted(arm / row.dir for row in stages)
+        rows.update({arm / row.dir: row.files for row in stages})
     for stage_dir, files in rows.items():
-        assert sorted(p.name for p in stage_dir.iterdir()) == sorted([*files.values(), "manifest.json"])
+        assert sorted(p.name for p in stage_dir.iterdir() if p.is_file()) == sorted([*files.values(), "manifest.json"])
         assert sorted(storage.read_manifest(stage_dir)["outputs"]) == sorted(files.values())
 
 
@@ -491,8 +503,8 @@ def test_corrupt_stage_input_exits_3(cfg_file, tmp_path, capsys, target, corrupt
 
 
 # Runs `camreid` with its arguments after the first, which names where the process kills itself:
-# `stage_<name>` on entry to that stage, or a file name inside that file's write, once the temp
-# file is written and before it replaces the target.
+# `stage_<name>` on entry to that stage, `stage_<name>:<n>` on the n-th entry to it, or a file name
+# inside that file's write, once the temp file is written and before it replaces the target.
 _KILLED_RUN = """
 import contextlib, os, signal, sys
 from camreid import cli, storage
@@ -501,9 +513,17 @@ from camreid import pipeline as pl
 def kill(*args, **kwargs):
     os.kill(os.getpid(), signal.SIGKILL)
 
-where = sys.argv[1]
+where, _, nth = sys.argv[1].partition(":")
 if where.startswith("stage_"):
-    setattr(pl, where, kill)
+    stage, entries = getattr(pl, where), []
+
+    def entering(*args, **kwargs):
+        entries.append(where)
+        if len(entries) == int(nth or 1):
+            kill()
+        return stage(*args, **kwargs)
+
+    setattr(pl, where, entering)
 else:
     replacing = storage._replacing
 
@@ -533,18 +553,24 @@ def uninterrupted(cfg_file, tmp_path_factory):
     return _artifacts(out)
 
 
+def _killed(where, *args):
+    """The exit status of `camreid` run with ``args`` in a child that kills itself at ``where``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-c", _KILLED_RUN, where, *map(str, args)]
+    return subprocess.run(argv, env=env, capture_output=True).returncode
+
+
 @pytest.mark.parametrize(
     "where, left_behind",
     [pytest.param("stage_" + name.replace("-", "_"), None, id=f"entering-{name}") for name in pl.STAGES]
-    + [pytest.param("segments.jsonl", "segments/.segments.jsonl.*.tmp", id="writing-segments")],
+    + [pytest.param("segments.jsonl", "segments/.segments.jsonl.*.tmp", id="writing-segments")]
+    + [pytest.param("config.json", ".config.json.*.tmp", id="writing-config")],
 )
 def test_killed_run_is_finished_by_a_rerun(cfg_file, tmp_path, capsys, uninterrupted, where, left_behind):
     # A run killed at a stage boundary, or inside a write, is finished by a
     # plain rerun: the same bytes as an uninterrupted run, and no temp file.
     out = tmp_path / "exp"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
-    argv = [sys.executable, "-c", _KILLED_RUN, where, "run", "--config", str(cfg_file), "--out", str(out)]
-    assert subprocess.run(argv, env=env, capture_output=True).returncode == -9
+    assert _killed(where, "run", "--config", cfg_file, "--out", out) == -9
     if left_behind:
         assert len(list(out.glob(left_behind))) == 1
     assert _run("run", "--config", cfg_file, "--out", out) == 0
@@ -552,3 +578,93 @@ def test_killed_run_is_finished_by_a_rerun(cfg_file, tmp_path, capsys, uninterru
     assert _artifacts(out) == uninterrupted
     assert len(list(out.rglob("manifest.json"))) == len(pl.STAGES)
     assert not list(out.rglob("*.tmp"))
+
+
+def test_killed_ablation_is_finished_by_a_rerun(cfg_file, tmp_path, capsys):
+    # An ablation killed on entering its third arm is finished by a plain
+    # rerun, which runs no stage of the first two arms again and writes the
+    # rows of an uninterrupted ablation byte for byte.
+    argv = ["ablate", "--config", cfg_file, "--axis", "min_len", "--values", "[1, 2, 3]"]
+    assert _run(*argv, "--out", tmp_path / "whole") == 0
+    out = tmp_path / "exp"
+    assert _killed("stage_trackletize:3", *argv, "--out", out) == -9
+    arms = out / pl.ABLATE.dir / "min_len"
+    assert not (arms / "manifest.json").exists()
+
+    def finished():
+        """Every file of the first two arms, with its bytes, inode and modification time."""
+        files = [p for arm in ("1", "2") for p in sorted((arms / arm).rglob("*")) if p.is_file()]
+        return {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in files}
+
+    before = finished()
+    assert len([p for p in before if p.name == "manifest.json"]) == 2 * 6  # sim, cid, embed, segments, tsd, eval
+    assert _run(*argv, "--out", out) == 0
+    capsys.readouterr()
+    assert finished() == before
+    for name in pl.ABLATE.files.values():
+        assert (arms / name).read_bytes() == (tmp_path / "whole" / pl.ABLATE.dir / "min_len" / name).read_bytes()
+
+
+def test_ablate_steps_after_run_reuses_it(cfg_file, tmp_path, monkeypatch, capsys):
+    # The steps axis's last arm is `run` itself: after a run into the same
+    # directory, ablate rewrites none of its files and never trains CID.
+    out = tmp_path / "exp"
+    assert _run("run", "--config", cfg_file, "--out", out) == 0
+    before = _artifacts(out)
+    stage_files = {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob("*/*")}
+
+    def no_training(*args, **kwargs):
+        pytest.fail("ablate trained CID again after a run")
+
+    monkeypatch.setattr(pl, "train_cid", no_training)
+    capsys.readouterr()
+    assert _run("ablate", "--config", cfg_file, "--out", out, "--axis", "steps") == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in stage_files} == stage_files
+    report = json.loads(before[Path("eval") / "report.json"])
+    assert rows[-1] == {"steps": "cid+tsd+ccr", "rank1": float(report["cmc"]["1"]), "mean_ap": float(report["mean_ap"])}
+
+
+@pytest.fixture(scope="module")
+def ablated(cfg_file, tmp_path_factory):
+    """One output root that holds all four ablation axes of the miniature config."""
+    out = tmp_path_factory.mktemp("ablated")
+    grids = {"steps": [], "min_len": ["--values", "[1, 3]"], "model_size": ["--values", "[[24, 16, 8]]"]}
+    grids["data_fraction"] = ["--values", "[0.5, 1.0]"]
+    for axis, values in grids.items():
+        assert _run("ablate", "--config", cfg_file, "--out", out, "--axis", axis, *values) == 0
+    return out
+
+
+def test_ablation_arms_equal_fresh_stage_runs(cfg_file, ablated, tmp_path, capsys):
+    # An arm writes what a fresh directory of the arm's config writes through
+    # the same commands, every file but the manifests and training curves.
+    def fresh(name, edit, *commands):
+        payload = json.loads(cfg_file.read_text())
+        edit(payload)
+        config, out = tmp_path / f"{name}.json", tmp_path / name
+        config.write_text(json.dumps(payload))
+        for command in commands:
+            assert _run(*command.split(), "--config", config, "--out", out) == 0
+        files = _artifacts(out)
+        del files[Path("config.json")]
+        return files
+
+    arms = ablated / pl.ABLATE.dir
+    chain = ("simulate", "train-cid", "extract", "trackletize", "train-tsd", "evaluate --no-ccr")
+    assert _artifacts(arms / "min_len" / "3") == fresh("min_len", lambda p: p.update(min_len=3), *chain)
+    widths = fresh("model_size", lambda p: p.update(encoder_dims=[24, 16, 8]), "run")
+    assert _artifacts(arms / "model_size" / "24x16x8") == widths
+    small = fresh("data_fraction", lambda p: p["contrastive"].update(batch_size=64, bank_size=1024), "run")
+    assert _artifacts(arms / "data_fraction" / "1.0") == small
+    # The steps rows of the three chained arms are the scores that evaluate
+    # reports on a run of the same config.
+    rows = {row["steps"]: row for row in storage.read_records(arms / "steps" / "rows.jsonl")}
+    out = tmp_path / "steps"
+    assert _run("run", "--config", cfg_file, "--out", out) == 0
+    evaluations = {"cid+tsd+ccr": "", "cid+tsd": "--no-ccr --force", "cid": "--checkpoint cid --no-ccr --force"}
+    for arm, flags in evaluations.items():
+        assert _run("evaluate", "--config", cfg_file, "--out", out, *flags.split()) == 0
+        report = json.loads((out / "eval" / "report.json").read_text())
+        assert rows[arm] == {"steps": arm, "rank1": float(report["cmc"]["1"]), "mean_ap": float(report["mean_ap"])}
+    capsys.readouterr()

@@ -40,8 +40,9 @@ def tiny_cfg():
 
 
 @pytest.fixture(scope="module")
-def tiny_bench(tiny_cfg):
-    return pl.build_benchmark(tiny_cfg)
+def tiny_sim(tiny_cfg):
+    """The full simulated table, the query and the gallery, in memory."""
+    return pl._simulate(tiny_cfg)
 
 
 # ---------------------------------------------------------------- config
@@ -101,35 +102,60 @@ def test_derive_seed_is_stable():
 # ---------------------------------------------------------------- benchmark
 
 
-def test_benchmark_hides_gt_from_training(tiny_bench):
-    assert np.all(tiny_bench.train.gt_id == GT_HIDDEN)
-    assert np.all(tiny_bench.train.ghost == 0)
-    assert np.all(tiny_bench.query.gt_id >= 0)
-    assert np.all(tiny_bench.gallery.gt_id >= 0)
+def test_benchmark_hides_gt_from_training(staged_root, tiny_cfg):
+    # What the stage loaders hand a training stage carries no identity; the
+    # evaluation split does.
+    train = pl.load_train_table(staged_root, tiny_cfg)
+    assert np.all(train.gt_id == GT_HIDDEN)
+    assert np.all(train.ghost == 0)
+    for table in pl.load_eval_split(staged_root, tiny_cfg):
+        assert np.all(table.gt_id >= 0)
 
 
-def test_benchmark_dtype_and_coverage(tiny_cfg, tiny_bench):
-    assert tiny_bench.train.observations.dtype == tiny_cfg.dtype
-    assert tiny_bench.train.det_id.max() < len(tiny_bench.gt_of_det)
-    for table in (tiny_bench.query, tiny_bench.gallery):
-        np.testing.assert_array_equal(tiny_bench.gt_of_det[table.det_id], table.gt_id)
+def test_benchmark_dtype_and_coverage(tiny_cfg, tiny_sim, staged_root):
+    # A det id is its row number in the simulated table, so the table's gt
+    # column is the identity of each det id, as the min_len ablation reads it.
+    full = tiny_sim[0]
+    np.testing.assert_array_equal(full.det_id, np.arange(len(full)))
+    train = pl.load_train_table(staged_root, tiny_cfg)
+    assert train.observations.dtype == tiny_cfg.dtype
+    assert train.det_id.max() < len(full)
+    for table in pl.load_eval_split(staged_root, tiny_cfg):
+        np.testing.assert_array_equal(full.gt_id[table.det_id], table.gt_id)
 
 
-def test_slice_fraction_prefix(tiny_cfg, tiny_bench):
+def _training_window(config, full):
+    return synth.training_table(config.stream, full, config.eval_window_frac)
+
+
+def test_slice_fraction_prefix(tiny_cfg, tiny_sim):
     window = synth.eval_window_start(tiny_cfg.stream, tiny_cfg.eval_window_frac)
-    full = pl.slice_fraction(tiny_cfg, tiny_bench.train, 1.0)
-    assert len(full) == len(tiny_bench.train)
-    half = pl.slice_fraction(tiny_cfg, tiny_bench.train, 0.5)
+    train = _training_window(tiny_cfg, tiny_sim[0])
+    full = pl.slice_fraction(tiny_cfg, train, 1.0)
+    assert len(full) == len(train)
+    half = pl.slice_fraction(tiny_cfg, train, 0.5)
     assert 0 < len(half) < len(full)
     assert half.frame.max() < int(np.ceil(0.5 * window))
-    tenth = pl.slice_fraction(tiny_cfg, tiny_bench.train, 0.1)
+    tenth = pl.slice_fraction(tiny_cfg, train, 0.1)
     assert len(tenth) <= len(half)
 
 
-def test_slice_fraction_rejects_bad_fraction(tiny_cfg, tiny_bench):
+def test_slice_fraction_keeps_the_evaluation_window(tiny_cfg, tiny_sim):
+    # Sliced whole, the simulated table loses only training rows: what a
+    # data_fraction arm's sim/ holds trains on the slice and keeps the split.
+    window = synth.eval_window_start(tiny_cfg.stream, tiny_cfg.eval_window_frac)
+    full = tiny_sim[0]
+    sliced = pl.slice_fraction(tiny_cfg, full, 0.5)
+    half = pl.slice_fraction(tiny_cfg, _training_window(tiny_cfg, full), 0.5)
+    np.testing.assert_array_equal(_training_window(tiny_cfg, sliced).det_id, half.det_id)
+    np.testing.assert_array_equal(sliced.det_id[sliced.frame >= window], full.det_id[full.frame >= window])
+    assert len(pl.slice_fraction(tiny_cfg, full, 1.0)) == len(full)
+
+
+def test_slice_fraction_rejects_bad_fraction(tiny_cfg, tiny_sim):
     for frac in (0.0, -0.5, 1.5):
         with pytest.raises(InvalidInputError):
-            pl.slice_fraction(tiny_cfg, tiny_bench.train, frac)
+            pl.slice_fraction(tiny_cfg, tiny_sim[0], frac)
 
 
 def test_stage_ablate_rejects_bad_grids_before_writing(tiny_cfg, tmp_path):
@@ -204,19 +230,6 @@ def test_config_json_roundtrip(staged_root, tiny_cfg):
     assert _read_config(staged_root) == tiny_cfg
 
 
-@pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_stage_chain_report_matches_run_pipeline(tiny_cfg, tmp_path, precision):
-    # The file-backed stages and the in-memory chain give one report.  Only
-    # the fingerprints differ: they name the arm, which is "cid+tsd+ccr" in
-    # memory and the evaluated checkpoint, "tsd", on disk.
-    config = dataclasses.replace(tiny_cfg, precision=precision)
-    pl.stage_run(tmp_path, config)
-    on_disk = json.loads((tmp_path / "eval" / "report.json").read_text())
-    in_memory = json.loads(pl.run_pipeline(config).report.to_json())
-    assert on_disk.pop("fingerprint") != in_memory.pop("fingerprint")
-    assert on_disk == in_memory
-
-
 def test_write_config_conflict(staged_root, tiny_cfg, tmp_path):
     other = dataclasses.replace(tiny_cfg, seed=99)
     with pytest.raises(ManifestError):
@@ -257,11 +270,11 @@ def test_load_train_table_is_held_once(staged_root, tiny_cfg):
         assert np.array_equal(got, getattr(want, f.name))
 
 
-def test_load_eval_split_matches_benchmark(staged_root, tiny_cfg, tiny_bench):
+def test_load_eval_split_matches_benchmark(staged_root, tiny_cfg, tiny_sim):
     query, gallery = pl.load_eval_split(staged_root, tiny_cfg)
-    np.testing.assert_array_equal(query.det_id, tiny_bench.query.det_id)
-    np.testing.assert_array_equal(gallery.det_id, tiny_bench.gallery.det_id)
-    np.testing.assert_array_equal(query.gt_id, tiny_bench.query.gt_id)
+    np.testing.assert_array_equal(query.det_id, tiny_sim[1].det_id)
+    np.testing.assert_array_equal(gallery.det_id, tiny_sim[2].det_id)
+    np.testing.assert_array_equal(query.gt_id, tiny_sim[1].gt_id)
 
 
 def test_checkpoint_roundtrip(staged_root):
@@ -454,10 +467,10 @@ def test_stage_ablate_min_len(tiny_cfg, tmp_path, monkeypatch):
     assert not pl.stage_ablate(tmp_path, tiny_cfg, "min_len", values=[3])
 
 
-def test_fit_ccr_handles_missing_cameras(tiny_cfg, tiny_bench):
+def test_fit_ccr_handles_missing_cameras(tiny_cfg, staged_root):
     # A short time slice may never see some cameras; the camera head is
     # then fit over the ones that appear.
-    train = tiny_bench.train
+    train = pl.load_train_table(staged_root, tiny_cfg)
     partial = train.select(train.camera_id != 0)
     assert len(np.unique(partial.camera_id)) == tiny_cfg.n_cameras - 1
     pair = pl.random_pair(tiny_cfg)
@@ -471,8 +484,10 @@ def test_fit_ccr_handles_missing_cameras(tiny_cfg, tiny_bench):
     assert max_logit < 1e-3
 
 
-def test_model_size_ablation(tiny_cfg):
-    rows = pl.ablation_model_size(tiny_cfg, values=((24, 16, 8), (24, 32, 16)))
+def test_model_size_ablation(tiny_cfg, tmp_path):
+    # n_params counts each arm's trained query encoder, weights and biases.
+    assert pl.stage_ablate(tmp_path, tiny_cfg, "model_size", values=[[24, 16, 8], [24, 32, 16]])
+    rows = storage.read_records(tmp_path / "ablation" / "model_size" / "rows.jsonl")
     assert [r["encoder_dims"] for r in rows] == ["24x16x8", "24x32x16"]
     assert rows[0]["n_params"] < rows[1]["n_params"]
     assert rows[0]["n_params"] == 24 * 16 + 16 + 16 * 8 + 8
