@@ -91,6 +91,8 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         options = {k: v for k, v in vars(args).items() if k in ("checkpoint", "use_ccr", "axis")}
+        if options.get("checkpoint") == "cid" and options["use_ccr"]:
+            raise InvalidInputError("--checkpoint cid needs --no-ccr: the camera reduction is fit on the tsd encoder")
         if args.command == "ablate":
             try:
                 options["values"] = None if args.values is None else json.loads(args.values)

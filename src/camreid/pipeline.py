@@ -11,10 +11,12 @@ One private helper, ``_run_stage``, digests the inputs, skips the stage when
 its manifest already records them, refuses to replace another run's results
 without ``force``, runs the body and writes the manifest, with the time,
 faults and peak memory the stage took.  ``stage_ablate`` sweeps one ablation
-axis into ``ablation/<axis>/`` the same way; each arm is a run of the stages
-in a directory of its own.  The detection table is parsed at most once per
-process for each pair of digests of its two files, and held once, split into
-the training and evaluation windows.
+axis into ``ablation/<axis>/`` the same way, and each arm is a run of the
+stages: those it shares with `run`, and its own too when its config is the
+root's, run in the output root, where a `run` leaves them, and are linked
+into ``ablation/<axis>/<arm>/``, where the rest run.  The detection table is
+parsed at most once per process for each pair of digests of its two files,
+and held once, split into the training and evaluation windows.
 
 Ground-truth identity labels exist only in the simulator's output and the
 evaluation split; every table handed to a training stage has them stripped.
@@ -256,27 +258,6 @@ def fit_ccr(
         log.info("ccr_k capped at %d: only %d cameras present", k, len(present))
     projector = ccr_mod.build_projector(classifier.weight, k=k)
     return classifier, projector
-
-
-def eval_report(
-    config: PipelineConfig,
-    query: synth.DetectionTable,
-    gallery: synth.DetectionTable,
-    params: enc.EncoderParams,
-    projector: ccr_mod.CcrProjector | None,
-    arm: str,
-) -> ev.EvalReport:
-    """Embed the split, remove the camera subspace when a projector is given, score."""
-    embeddings = [embed_all(params, table.observations) for table in (query, gallery)]
-    if projector is not None:
-        embeddings = [ccr_mod.apply_ccr(projector, emb) for emb in embeddings]
-    protocol = ev.EvalProtocol(
-        query=query, gallery=gallery, cross_camera_filter=config.cross_camera_filter
-    )
-    fingerprint = storage.fingerprint_payload(
-        {"config": config.to_payload(), "arm": arm, "use_ccr": projector is not None}
-    )
-    return ev.evaluate(*embeddings, protocol, fingerprint=fingerprint)
 
 
 def random_pair(config: PipelineConfig) -> enc.EncoderPair:
@@ -534,7 +515,7 @@ def stage_train_cid(root: Path, config: PipelineConfig, force: bool = False) -> 
         pair, stats = train_cid(config, obs)
         save_checkpoint(out, pair, stats, config, "cid")
         # cid_epoch's batches; every one steps the optimizer but the first, which fills the fresh bank
-        steps = config.contrastive.epochs_cid * (len(obs) // config.contrastive.batch_size) - 1
+        steps = max(config.contrastive.epochs_cid * (len(obs) // config.contrastive.batch_size) - 1, 0)
         return {"rows": len(obs), "steps": steps}
 
     return _run_stage(root, config.fingerprint(), force, "train-cid", {"simulate": _SIM}, body, _step_workers(config))
@@ -601,7 +582,7 @@ def stage_train_tsd(root: Path, config: PipelineConfig, force: bool = False) -> 
         save_checkpoint(out, pair, stats, config, "tsd")
         # tsd_epoch's batches, from the rows of segments it can draw a pair from; the first fills the bank
         rows = int(segments.length[segments.length >= 2].sum())
-        steps = config.contrastive.epochs_tsd * max(rows // config.contrastive.batch_size, 1) - 1
+        steps = max(config.contrastive.epochs_tsd * max(rows // config.contrastive.batch_size, 1) - 1, 0)
         return {"rows": rows, "steps": steps}
 
     reads = {"simulate": _SIM, "trackletize": ("segments",), "train-cid": _WEIGHTS}
@@ -635,7 +616,12 @@ def stage_evaluate(
         query, gallery = load_eval_split(root, config, digests)
         projector = load_projector(root) if use_ccr else None
         params = load_checkpoint(root, "train-" + checkpoint).query
-        report = eval_report(config, query, gallery, params, projector, arm=checkpoint)
+        embeddings = [embed_all(params, table.observations) for table in (query, gallery)]
+        if use_ccr:
+            embeddings = [ccr_mod.apply_ccr(projector, emb) for emb in embeddings]
+        protocol = ev.EvalProtocol(query=query, gallery=gallery, cross_camera_filter=config.cross_camera_filter)
+        run = {"config": config.to_payload(), "arm": checkpoint, "use_ccr": use_ccr}
+        report = ev.evaluate(*embeddings, protocol, fingerprint=storage.fingerprint_payload(run))
         storage.write_text(out["report"], report.to_json())
         storage.write_text(out["text"], report.to_text() + "\n")
         return {"checkpoint": checkpoint, "use_ccr": use_ccr, "queries": len(query), "gallery": len(gallery)}
@@ -657,10 +643,6 @@ def stage_run(root: Path, config: PipelineConfig, force: bool = False) -> None:
     _chain(root, config, force, STAGES)
 
 
-# Ablations: an axis runs the stages its arms share with `run` in the output root, where a `run` of the
-# same config has left them, then each arm's own stages in ablation/<axis>/<arm>/.
-
-
 def _arm(root: Path, axis: str, label, shared=()) -> Path:
     """``ablation/<axis>/<label>/``, holding hard links to the files of ``root``'s stages ``shared``.
 
@@ -673,6 +655,16 @@ def _arm(root: Path, axis: str, label, shared=()) -> Path:
     return arm
 
 
+def _arm_run(root: Path, config: PipelineConfig, force: bool, axis: str, label, arm_config, shared, own) -> Path:
+    """The arm after ``own`` ran for ``arm_config`` over ``shared``; in ``root``, and linked, if that is ``config``."""
+    if arm_config == config:
+        _chain(root, config, force, own)
+        return _arm(root, axis, label, (*shared, *own))
+    arm = _arm(root, axis, label, shared)
+    _chain(arm, arm_config, force, own)
+    return arm
+
+
 def _scores(root: Path) -> dict:
     """The rank-1 and mAP of the report that evaluate wrote under ``root``; its repr floats read back exactly."""
     report = storage.read_json(stage_paths(root, "evaluate")["report"], ("cmc", "mean_ap"))
@@ -680,20 +672,25 @@ def _scores(root: Path) -> dict:
 
 
 def ablation_steps(root: Path, config: PipelineConfig, force: bool) -> list[dict]:
-    """Score the four pipeline arms; 'cid+tsd+ccr' is `run` in ``root``.
+    """Score the four pipeline arms; 'cid+tsd+ccr' is `run` in ``root``, the others evaluate without CCR.
 
-    'cid' and 'cid+tsd' score its two checkpoints without the camera reduction, and 'tsd' is trained in memory
-    on the segments of an untrained encoder.
+    'tsd' trains from a train-cid stage that saves the untrained encoder, fingerprinted so no run takes it for CID.
     """
     stage_run(root, config, force)
-    train, split = load_train_table(root, config), load_eval_split(root, config)
-    rnd = random_pair(config)
-    tsd_only, _ = train_tsd(config, rnd, mine_segments(config, train, embed_all(rnd.query, train.observations)), train)
-    params = {"cid": load_checkpoint(root, "train-cid"), "tsd": tsd_only, "cid+tsd": load_checkpoint(root, "train-tsd")}
-    reports = {arm: eval_report(config, *split, pair.query, None, arm=arm) for arm, pair in params.items()}
-    scores = {arm: {"rank1": r.rank1, "mean_ap": r.mean_ap} for arm, r in reports.items()}
-    scores["cid+tsd+ccr"] = _scores(root)
-    return [{"steps": arm, **scores[arm]} for arm in STEP_ARMS]
+    cid = _arm(root, "steps", "cid", ("simulate", "train-cid"))
+    stage_evaluate(cid, config, force, checkpoint="cid", use_ccr=False)
+    tsd = _arm(root, "steps", "tsd", ("simulate",))
+
+    def untrained(out, digests):
+        save_checkpoint(out, random_pair(config), [], config, "untrained")
+        return {"rows": 0, "steps": 0}
+
+    fingerprint = storage.fingerprint_payload({"config": config.to_payload(), "steps": "tsd"})
+    _run_stage(tsd, fingerprint, force, "train-cid", {}, untrained)
+    _chain(tsd, config, force, ("extract", "trackletize", "train-tsd", "evaluate"), use_ccr=False)
+    cid_tsd = _arm(root, "steps", "cid+tsd", ("simulate", "train-cid", "extract", "trackletize", "train-tsd"))
+    stage_evaluate(cid_tsd, config, force, use_ccr=False)
+    return [{"steps": arm, **_scores(path)} for arm, path in zip(STEP_ARMS, (cid, tsd, cid_tsd, root))]
 
 
 def ablation_min_len(root: Path, config: PipelineConfig, force: bool, values=MIN_LEN_VALUES) -> list[dict]:
@@ -703,9 +700,9 @@ def ablation_min_len(root: Path, config: PipelineConfig, force: bool, values=MIN
     gt_of_det = _read_table(root).gt_id  # diagnostics only: a det id is its row number
     rows = []
     for min_len in values:
-        arm = _arm(root, "min_len", min_len, shared)
         arm_config = dataclasses.replace(config, min_len=min_len)
-        _chain(arm, arm_config, force, ("trackletize", "train-tsd", "evaluate"), use_ccr=False)
+        arm = _arm_run(root, config, force, "min_len", min_len, arm_config, shared, ("trackletize", "train-tsd"))
+        stage_evaluate(arm, arm_config, force, use_ccr=False)
         segments = load_segments(arm)
         purity = trk.segment_purity(segments, gt_of_det)
         rows.append({"min_len": int(min_len), "n_segments": len(segments), "purity": purity, **_scores(arm)})
@@ -761,8 +758,7 @@ def ablation_model_size(root: Path, config: PipelineConfig, force: bool, values=
     rows = []
     for arm_config in configs:
         label = "x".join(str(d) for d in arm_config.encoder_dims)
-        arm = _arm(root, "model_size", label, ("simulate",))
-        _chain(arm, arm_config, force, tuple(STAGES)[1:])
+        arm = _arm_run(root, config, force, "model_size", label, arm_config, ("simulate",), tuple(STAGES)[1:])
         params = load_checkpoint(arm, "train-tsd").query
         n_params = sum(a.size for a in (*params.weights, *params.biases))
         rows.append({"encoder_dims": label, "n_params": n_params, **_scores(arm)})

@@ -1,6 +1,7 @@
 """Command-line behavior: stage wiring, exit codes, and error records."""
 
 import ast
+import collections
 import inspect
 import json
 import os
@@ -366,6 +367,16 @@ def test_evaluate_without_ccr(cfg_file, tmp_path, capsys):
     assert manifest["extra"]["use_ccr"] is False
 
 
+def test_evaluate_cid_with_ccr_exits_2(cfg_file, tmp_path, capsys):
+    # The camera reduction is fit on the tsd encoder's embeddings, so it
+    # scores no model on the cid one: refused before anything is written.
+    out = tmp_path / "exp"
+    assert _run("evaluate", "--config", cfg_file, "--out", out, "--checkpoint", "cid") == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidInputError" and "--no-ccr" in record["message"]
+    assert not out.exists()
+
+
 def _name_unknown_query(path):
     path.write_text(json.dumps({"det_id": 987654321}) + "\n")
 
@@ -605,24 +616,84 @@ def test_killed_ablation_is_finished_by_a_rerun(cfg_file, tmp_path, capsys):
         assert (arms / name).read_bytes() == (tmp_path / "whole" / pl.ABLATE.dir / "min_len" / name).read_bytes()
 
 
+def _count_training(monkeypatch):
+    """How often pl.train_cid and pl.train_tsd are called from now on, by name."""
+    calls = collections.Counter()
+    for name in ("train_cid", "train_tsd"):
+        def counting(*args, _name=name, _train=getattr(pl, name)):
+            calls[_name] += 1
+            return _train(*args)
+
+        monkeypatch.setattr(pl, name, counting)
+    return calls
+
+
 def test_ablate_steps_after_run_reuses_it(cfg_file, tmp_path, monkeypatch, capsys):
     # The steps axis's last arm is `run` itself: after a run into the same
-    # directory, ablate rewrites none of its files and never trains CID.
+    # directory, ablate rewrites none of its files, never trains CID and
+    # trains TSD once, for the arm that starts from an untrained encoder.
     out = tmp_path / "exp"
     assert _run("run", "--config", cfg_file, "--out", out) == 0
     before = _artifacts(out)
     stage_files = {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob("*/*")}
-
-    def no_training(*args, **kwargs):
-        pytest.fail("ablate trained CID again after a run")
-
-    monkeypatch.setattr(pl, "train_cid", no_training)
+    calls = _count_training(monkeypatch)
     capsys.readouterr()
     assert _run("ablate", "--config", cfg_file, "--out", out, "--axis", "steps") == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert calls == {"train_tsd": 1}
     assert {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in stage_files} == stage_files
     report = json.loads(before[Path("eval") / "report.json"])
     assert rows[-1] == {"steps": "cid+tsd+ccr", "rank1": float(report["cmc"]["1"]), "mean_ap": float(report["mean_ap"])}
+
+
+@pytest.mark.parametrize(
+    "axis, values, equal_arm, trained",
+    [
+        ("min_len", "[1, 2, 3]", "2", {"train_tsd": 2}),
+        ("model_size", "[[24, 16, 8], [24, 32, 16]]", "24x32x16", {"train_cid": 1, "train_tsd": 1}),
+    ],
+    ids=["min_len", "model_size"],
+)
+def test_ablate_after_run_trains_only_the_arms_that_differ(
+    cfg_file, tmp_path, monkeypatch, capsys, axis, values, equal_arm, trained
+):
+    # An arm whose config is the root's links the run's stages and trains
+    # nothing; the rows are those of the same ablation into a fresh directory.
+    argv = ("ablate", "--config", cfg_file, "--axis", axis, "--values", values)
+    assert _run(*argv, "--out", tmp_path / "fresh") == 0
+    out = tmp_path / "exp"
+    assert _run("run", "--config", cfg_file, "--out", out) == 0
+    calls = _count_training(monkeypatch)
+    assert _run(*argv, "--out", out) == 0
+    capsys.readouterr()
+    assert calls == trained
+    for name, path in pl.stage_paths(out, "ablate", axis).items():
+        assert path.read_bytes() == pl.stage_paths(tmp_path / "fresh", "ablate", axis)[name].read_bytes()
+    checkpoint = Path("tsd") / "checkpoint.rctr"
+    arm = out / pl.ABLATE.dir / axis / equal_arm
+    assert (arm / checkpoint).stat().st_ino == (out / checkpoint).stat().st_ino
+
+
+def test_killed_steps_ablation_is_finished_by_a_rerun(cfg_file, ablated, tmp_path, capsys):
+    # The steps axis killed on entering the tsd arm's train-tsd (the run's is
+    # the first) is finished by a plain rerun, which runs no finished stage
+    # again and writes the arms and rows of an uninterrupted ablation.
+    argv = ["ablate", "--config", cfg_file, "--axis", "steps", "--out", tmp_path]
+    assert _killed("stage_train_tsd:2", *argv) == -9
+    steps = tmp_path / pl.ABLATE.dir / "steps"
+    assert not (steps / "manifest.json").exists()
+
+    def finished():
+        """Every stage manifest, with its inode and modification time."""
+        return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in sorted(tmp_path.rglob("manifest.json"))}
+
+    before = finished()
+    assert len(before) == 7 + 3 + 4  # the run; the cid arm's sim, cid, eval; the tsd arm's sim, cid, embed, segments
+    assert _run(*argv) == 0
+    capsys.readouterr()
+    after = finished()
+    assert {p: after.get(p) for p in before} == before
+    assert _artifacts(steps) == _artifacts(ablated / pl.ABLATE.dir / "steps")
 
 
 @pytest.fixture(scope="module")
@@ -657,6 +728,9 @@ def test_ablation_arms_equal_fresh_stage_runs(cfg_file, ablated, tmp_path, capsy
     assert _artifacts(arms / "model_size" / "24x16x8") == widths
     small = fresh("data_fraction", lambda p: p["contrastive"].update(batch_size=64, bank_size=1024), "run")
     assert _artifacts(arms / "data_fraction" / "1.0") == small
+    cid = fresh("cid", lambda p: None, "simulate", "train-cid", "evaluate --checkpoint cid --no-ccr")
+    assert _artifacts(arms / "steps" / "cid") == cid
+    assert _artifacts(arms / "steps" / "cid+tsd") == fresh("cid+tsd", lambda p: None, *chain)
     # The steps rows of the three chained arms are the scores that evaluate
     # reports on a run of the same config.
     rows = {row["steps"]: row for row in storage.read_records(arms / "steps" / "rows.jsonl")}

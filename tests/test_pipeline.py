@@ -327,35 +327,40 @@ def test_evaluate_refuses_mismatched_eval_dir(staged_root, tiny_cfg):
 
 def test_stage_manifests_record_their_counts(tiny_cfg, tmp_path, monkeypatch):
     # Each stage's manifest `extra` carries its counts; the optimizer steps
-    # are counted here at `sgd_step`.  `extra` is not part of the match, so
-    # a manifest whose counts were edited is still a hit.
+    # are counted here at `sgd_step`, and a stage of no epochs takes none.
+    # `extra` is not part of the match, so a manifest whose counts were
+    # edited is still a hit.
     calls = []
     sgd_step = enc.sgd_step
     monkeypatch.setattr(enc, "sgd_step", lambda *a: calls.append(1) or sgd_step(*a))
-    steps = {}
-    for name in pl.STAGES:
-        before = len(calls)
-        assert getattr(pl, "stage_" + name.replace("-", "_"))(tmp_path, tiny_cfg)
-        steps[name] = len(calls) - before
-    extra = {m.parent.name: json.loads(m.read_text()).get("extra") for m in tmp_path.glob("*/manifest.json")}
-    train = pl.load_train_table(tmp_path, tiny_cfg)
-    segments = pl.load_segments(tmp_path)
-    query, gallery = pl.load_eval_split(tmp_path, tiny_cfg)
-    assert extra == {
-        "sim": {"n_detections": len((tmp_path / "sim" / "detections.jsonl").read_text().splitlines())},
-        "cid": {"rows": len(train), "steps": steps["train-cid"]},
-        "embed": {"rows": len(train)},
-        "segments": {"segments": len(segments)},
-        "tsd": {"rows": int(segments.length.sum()), "steps": steps["train-tsd"]},
-        "ccr": {"rows": len(train)},
-        "eval": {"checkpoint": "tsd", "use_ccr": True, "queries": len(query), "gallery": len(gallery)},
-    }
-    assert steps["train-cid"] > 0 and steps["train-tsd"] > 0
-    manifest = tmp_path / "eval" / "manifest.json"
+    no_epochs = dataclasses.replace(tiny_cfg.contrastive, epochs_cid=0, epochs_tsd=0)
+    for config in (tiny_cfg, dataclasses.replace(tiny_cfg, contrastive=no_epochs)):
+        root = tmp_path / str(config.contrastive.epochs_cid)
+        steps = {}
+        for name in pl.STAGES:
+            before = len(calls)
+            assert getattr(pl, "stage_" + name.replace("-", "_"))(root, config)
+            steps[name] = len(calls) - before
+        extra = {m.parent.name: json.loads(m.read_text()).get("extra") for m in root.glob("*/manifest.json")}
+        train = pl.load_train_table(root, config)
+        segments = pl.load_segments(root)
+        query, gallery = pl.load_eval_split(root, config)
+        assert extra == {
+            "sim": {"n_detections": len((root / "sim" / "detections.jsonl").read_text().splitlines())},
+            "cid": {"rows": len(train), "steps": steps["train-cid"]},
+            "embed": {"rows": len(train)},
+            "segments": {"segments": len(segments)},
+            "tsd": {"rows": int(segments.length.sum()), "steps": steps["train-tsd"]},
+            "ccr": {"rows": len(train)},
+            "eval": {"checkpoint": "tsd", "use_ccr": True, "queries": len(query), "gallery": len(gallery)},
+        }
+        trained = config.contrastive.epochs_cid > 0
+        assert (steps["train-cid"] > 0, steps["train-tsd"] > 0) == (trained, trained)
+    manifest = tmp_path / "2" / "eval" / "manifest.json"
     edited = json.loads(manifest.read_text())
     edited["extra"]["queries"] += 1
     manifest.write_text(json.dumps(edited))
-    assert not pl.stage_evaluate(tmp_path, tiny_cfg)
+    assert not pl.stage_evaluate(tmp_path / "2", tiny_cfg)
 
 
 def test_full_table_alignment_check(tiny_cfg, tmp_path):
