@@ -77,9 +77,7 @@ def _resolve_config(args) -> pl.PipelineConfig:
     else:
         config = pl.PipelineConfig()
     overrides = {k: getattr(args, k) for k in ("seed", "precision") if getattr(args, k) is not None}
-    config = dataclasses.replace(config, **overrides)
-    config.validate()
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def main(argv=None) -> int:
@@ -91,8 +89,8 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         options = {k: v for k, v in vars(args).items() if k in ("checkpoint", "use_ccr", "axis")}
-        if options.get("checkpoint") == "cid" and options["use_ccr"]:
-            raise InvalidInputError("--checkpoint cid needs --no-ccr: the camera reduction is fit on the tsd encoder")
+        if args.command == "evaluate":
+            pl.check_evaluate(**options)
         if args.command == "ablate":
             try:
                 options["values"] = None if args.values is None else json.loads(args.values)

@@ -43,8 +43,8 @@ class ContrastiveConfig:
     weight_decay: float = 1e-4
     aug_strength: float = 0.6
 
-    def validate(self) -> None:
-        if self.temperature <= 0:
+    def __post_init__(self) -> None:
+        if not self.temperature > 0:
             raise InvalidInputError("temperature must be > 0")
         if self.batch_size < 1 or self.bank_size < 1:
             raise InvalidInputError("batch_size and bank_size must be >= 1")
@@ -54,6 +54,10 @@ class ContrastiveConfig:
             raise InvalidInputError("key_momentum must lie in [0, 1]")
         if self.epochs_cid < 0 or self.epochs_tsd < 0:
             raise InvalidInputError("epoch counts must be >= 0")
+        if not (self.base_lr >= 0 and self.aug_strength >= 0 and self.weight_decay >= 0):
+            raise InvalidInputError("base_lr, aug_strength and weight_decay must be >= 0")
+        if not 0.0 <= self.sgd_momentum < 1.0:
+            raise InvalidInputError("sgd_momentum must lie in [0, 1)")
 
 
 @dataclass
@@ -194,10 +198,6 @@ def _batch_info_nce(
     AVX-512 kernel works in blocks of 24 rows, and a split between blocks
     leaves every row its bits.
     """
-    if temperature <= 0:
-        raise InvalidInputError("temperature must be > 0")
-    if negatives.shape[0] == 0:
-        raise InvalidInputError("negative bank is empty")
     b = q.shape[0]
     scratch = np.empty(q.shape, dtype=np.result_type(q, k_pos)) if scratch is None else scratch[:b]
     grad_q = np.empty(q.shape, dtype=np.result_type(logits, negatives)) if grad_q is None else grad_q[:b]
@@ -242,6 +242,8 @@ def _run_batch(pair, bank, optim, obs_a, obs_b, temperature, lr, workspace):
     """
     cache = enc.forward_cached(pair.query, obs_a, workspace.query)
     k = enc.forward(pair.key, obs_b, workspace.key)
+    if not np.isfinite(cache.norms[: len(k)].max() + workspace.key.norms[: len(k)].max()):  # carries any NaN or inf
+        raise TrainingDivergenceError("encoder output overflowed: an embedding's norm is not finite")
     if len(bank) == 0:
         # Nothing to contrast against yet; prime the bank and move on.
         bank.enqueue(k)
@@ -297,7 +299,6 @@ def cid_epoch(
     query network, the second the key network.  Trailing detections that do
     not fill a batch are skipped.
     """
-    config.validate()
     x = np.asarray(observations)
     if x.ndim != 2:
         raise InvalidInputError("observations must be a 2-D matrix")
@@ -371,7 +372,6 @@ def tsd_epoch(
     augmented independently.  An epoch covers as many batches as the total
     segment detection count supports.
     """
-    config.validate()
     usable = lengths >= 2
     if not usable.any():
         raise InvalidInputError("no segment with >= 2 detections to sample pairs from")

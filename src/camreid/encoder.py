@@ -239,8 +239,6 @@ def backward(
 
 def sgd_step(params: EncoderParams, grads: EncoderGrads, optim: OptimState, lr: float) -> EncoderParams:
     """In-place momentum SGD update: v <- m v + g + wd p; p <- p - lr v."""
-    if lr < 0:
-        raise InvalidInputError("learning rate must be >= 0")
     for g in grads.weights + grads.biases:
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError("non-finite gradient in sgd_step")

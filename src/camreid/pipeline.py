@@ -82,9 +82,7 @@ class PipelineConfig:
     seed: int = 0
     precision: str = "f32"
 
-    def validate(self) -> None:
-        self.stream.validate()
-        self.contrastive.validate()
+    def __post_init__(self) -> None:
         if self.n_identities < 2 or self.n_cameras < 2:
             raise InvalidInputError("need >= 2 identities and >= 2 cameras")
         if len(self.encoder_dims) < 2 or self.encoder_dims[0] != self.stream.d_obs or min(self.encoder_dims) < 1:
@@ -129,9 +127,7 @@ class PipelineConfig:
         version = payload.get("schema_version") if isinstance(payload, dict) else None
         if version != SCHEMA_VERSION:
             raise InvalidInputError(f"a config must be a JSON object with schema_version {SCHEMA_VERSION}")
-        config = _checked(PipelineConfig, {k: v for k, v in payload.items() if k != "schema_version"}, "config")
-        config.validate()
-        return config
+        return _checked(PipelineConfig, {k: v for k, v in payload.items() if k != "schema_version"}, "config")
 
     def fingerprint(self) -> str:
         return storage.fingerprint_payload(self.to_payload())
@@ -169,7 +165,6 @@ def _checked(cls, payload, where: str):
 
 def _simulate(config: PipelineConfig) -> tuple[synth.DetectionTable, synth.DetectionTable, synth.DetectionTable]:
     """Generate world and stream in the working dtype; the full table, query and gallery."""
-    config.validate()
     world = synth.generate_world(config.stream, config.n_identities, config.n_cameras, config.seed)
     full = synth.simulate_stream(world, config.dtype)
     return (full, *synth.split_eval(world, full, config.query_frac, config.eval_window_frac))
@@ -609,9 +604,17 @@ def load_projector(root: Path) -> ccr_mod.CcrProjector:
     return ccr_mod.CcrProjector(v=tens["v"], centering=tens["centering"], k=meta["k"], m=meta["m"], n=meta["n"])
 
 
+def check_evaluate(checkpoint: str, use_ccr: bool) -> None:
+    """Refuse the camera reduction on the cid checkpoint: it is fit on the tsd encoder's embeddings."""
+    if checkpoint == "cid" and use_ccr:
+        raise InvalidInputError("--checkpoint cid needs --no-ccr: the camera reduction is fit on the tsd encoder")
+
+
 def stage_evaluate(
     root: Path, config: PipelineConfig, force: bool = False, checkpoint: str = "tsd", use_ccr: bool = True
 ) -> bool:
+    check_evaluate(checkpoint, use_ccr)
+
     def body(out, digests):
         query, gallery = load_eval_split(root, config, digests)
         projector = load_projector(root) if use_ccr else None
@@ -752,8 +755,6 @@ def ablation_data_fraction(root: Path, config: PipelineConfig, force: bool, valu
 def ablation_model_size(root: Path, config: PipelineConfig, force: bool, values=MODEL_SIZES) -> list[dict]:
     """Sweep the encoder widths; every arm's dims are checked before anything is simulated."""
     configs = [dataclasses.replace(config, encoder_dims=tuple(dims)) for dims in values]
-    for arm_config in configs:
-        arm_config.validate()
     stage_simulate(root, config, force)
     rows = []
     for arm_config in configs:

@@ -53,6 +53,8 @@ _SALT_POSE = 505
 _APPEARANCE_MAX_COS = 0.45
 _APPEARANCE_MAX_TRIES = 1000
 
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))  # numpy's largest Poisson mean
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -75,11 +77,11 @@ class StreamConfig:
     bias_scale: float = 0.6
     residual_bias_scale: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.duration_frames < 1:
             raise InvalidInputError("duration_frames must be >= 1")
-        if self.entry_rate < 0 or self.dwell_mean < 1:
-            raise InvalidInputError("entry_rate must be >= 0 and dwell_mean >= 1")
+        if not (0 <= self.entry_rate <= _POISSON_LAM_MAX and 0 <= self.dwell_mean - 1.0 <= _POISSON_LAM_MAX):
+            raise InvalidInputError(f"entry_rate and dwell_mean - 1 must lie in [0, {_POISSON_LAM_MAX:.6g}]")
         for name in ("crossing_prob", "ghost_rate", "dropout_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -98,7 +100,7 @@ class StreamConfig:
             self.bias_scale,
             self.residual_bias_scale,
         )
-        if min(scales) < 0:
+        if not all(s >= 0 for s in scales):
             raise InvalidInputError("noise and camera perturbation scales must be >= 0")
 
 
@@ -131,7 +133,6 @@ def _rng(*entropy: int) -> np.random.Generator:
 
 def generate_world(config: StreamConfig, n_identities: int, n_cameras: int, seed: int) -> SyntheticWorld:
     """Draw identity appearances and camera models for a fixed seed."""
-    config.validate()
     if n_identities < 2:
         raise InvalidInputError("need at least 2 identities")
     if n_cameras < 1:
@@ -367,7 +368,10 @@ def simulate_stream(world: SyntheticWorld, dtype=np.float64) -> DetectionTable:
                 )
                 ghost.frames_left -= 1
         if bases:
-            obs_parts.append(_observe(world, cam, bases, states, flickers, noises).astype(dtype, copy=False))
+            block = _observe(world, cam, bases, states, flickers, noises).astype(dtype, copy=False)
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):  # min and max carry any NaN or inf
+                raise DegenerateInputError(f"the simulated observations overflow {block.dtype}")
+            obs_parts.append(block)
 
     frame, camera_id, gt_id, ghost = zip(*rows) if rows else ((),) * 4
     return DetectionTable(
@@ -396,8 +400,6 @@ def augment_batch(
     allocates them once; without it they are allocated per call.  The
     result is a fresh array of ``x``'s dtype.
     """
-    if strength < 0:
-        raise InvalidInputError("augmentation strength must be >= 0")
     a = np.atleast_2d(np.asarray(x))
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("observations contain non-finite entries")

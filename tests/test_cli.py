@@ -2,19 +2,25 @@
 
 import ast
 import collections
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camreid import cli
 from camreid import contrastive as ctr
 from camreid import pipeline as pl
 from camreid import storage, synth
+from camreid.errors import InvalidInputError
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +104,11 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidInputError"
 
 
+def _edit(payload, section, **fields):
+    """``payload`` with ``fields`` set in its nested ``section``."""
+    return {**payload, section: {**payload[section], **fields}}
+
+
 @pytest.mark.parametrize(
     "edit, flags",
     [
@@ -122,6 +133,12 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
         pytest.param(lambda p: {**p, "encoder_dims": [24, 0, 16]}, {}, id="zero-width"),
         pytest.param(lambda p: {**p, "n_cameras": 20, "encoder_dims": [24, 32, 8]}, {}, id="more-cameras-than-widths"),
         pytest.param(lambda p: {**p, "stream": {**p["stream"], "fps": 2.0}}, {}, id="removed-fps"),
+        pytest.param(lambda p: _edit(p, "contrastive", base_lr=-0.01), {}, id="negative-base-lr"),
+        pytest.param(lambda p: _edit(p, "contrastive", aug_strength=-0.6), {}, id="negative-aug-strength"),
+        pytest.param(lambda p: _edit(p, "contrastive", sgd_momentum=5), {}, id="sgd-momentum-above-one"),
+        pytest.param(lambda p: _edit(p, "contrastive", weight_decay=-5), {}, id="negative-weight-decay"),
+        pytest.param(lambda p: _edit(p, "stream", dwell_mean=1e30), {}, id="dwell-mean-past-poisson"),
+        pytest.param(lambda p: _edit(p, "stream", entry_rate=1e30), {}, id="entry-rate-past-poisson"),
         pytest.param(lambda p: p, {"--seed": -1}, id="negative-seed"),
         pytest.param(lambda p: p, {"--out": "bad.json"}, id="out-is-a-file"),
     ],
@@ -375,6 +392,97 @@ def test_evaluate_cid_with_ccr_exits_2(cfg_file, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "InvalidInputError" and "--no-ccr" in record["message"]
     assert not out.exists()
+
+
+def test_evaluate_cid_with_ccr_is_refused_from_python(cfg_file, tmp_path, capsys):
+    # The library call keeps the command's rule: after a run, it raises
+    # before the stage runs, even with force, and eval/ keeps its bytes.
+    out = tmp_path / "exp"
+    assert _run("run", "--config", cfg_file, "--out", out) == 0
+    capsys.readouterr()
+    config = pl.PipelineConfig.from_payload(json.loads(cfg_file.read_text()))
+    before = {p: p.read_bytes() for p in (out / "eval").iterdir()}
+    with pytest.raises(InvalidInputError, match="--no-ccr"):
+        pl.stage_evaluate(out, config, force=True, checkpoint="cid", use_ccr=True)
+    assert {p: p.read_bytes() for p in (out / "eval").iterdir()} == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "section, fields",
+    [("contrastive", {"base_lr": 1e6}), ("stream", {"noise_sigma": 1e30})],
+    ids=["huge-base-lr", "huge-noise-sigma"],
+)
+def test_overflowing_encoder_exits_4(cfg_file, tmp_path, capsys, section, fields):
+    # An encoder whose output overflows has diverged, even though its "unit"
+    # rows come out as zeros rather than as NaN: train-cid exits 4 before the
+    # bank's unit-norm check could call them bad input, and leaves no manifest.
+    config = tmp_path / "diverging.json"
+    config.write_text(json.dumps(_edit(json.loads(cfg_file.read_text()), section, **fields)))
+    out = tmp_path / "exp"
+    assert _run("run", "--config", config, "--out", out) == 4
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    message = "encoder output overflowed: an embedding's norm is not finite"
+    assert record == {"error": "TrainingDivergenceError", "message": message}
+    assert (out / "sim" / "manifest.json").exists()
+    assert not (out / "cid" / "manifest.json").exists()
+
+
+# How `camreid run` may end on a config that loads, other than with exit 0: the data-shortfall,
+# degenerate-data and divergence errors that the README lists, by exit code and message start.
+_RUN_ERRORS = {
+    1: (
+        "stream holds no detections to split",
+        "evaluation window holds no detections",
+        "no identity appears under two cameras in the window",
+        "query split is empty",
+        "cannot place",
+        "the simulated observations overflow",
+        "every query was skipped",
+    ),
+    2: ("need at least batch_size=", "no segment with >= 2 detections to sample pairs from"),
+    4: ("encoder output overflowed", "non-finite contrastive loss", "non-finite gradient"),
+}
+_DEFAULT = pl.PipelineConfig().to_payload()  # its fields are the tiny config's
+_FIELDS = [(s, f) for s in ("stream", "contrastive") for f in _DEFAULT[s]]
+_FIELDS += [(f,) for f in _DEFAULT if f not in ("schema_version", "stream", "contrastive")]
+# No huge int: a huge count or epoch number asks for a very long run, which is no error.
+_VALUES = (0, -1, 1, 2, 0.5, 1e30, float("nan"), float("inf"), float("-inf"), "x", True, None, [])
+_DIMS = ([], [24], [24, 0, 16])  # no layer, one layer, a 0 width
+
+
+@st.composite
+def _config_edits(draw):
+    fields = draw(st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=2, unique=True))
+    return [(f, draw(st.sampled_from(_VALUES + (_DIMS if f == ("encoder_dims",) else ())))) for f in fields]
+
+
+def test_every_listed_run_error_is_in_the_readme():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())  # lines joined
+    missing = [m for messages in _RUN_ERRORS.values() for m in messages if m not in readme]
+    assert not missing
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edits=_config_edits())
+def test_any_config_is_refused_at_load_or_runs_to_a_listed_end(cfg_file, edits):
+    # The tiny config with one or two fields set to odd values either exits 2
+    # before --out exists, runs through (exit 0), or stops with a listed
+    # error record; an uncaught exception fails the test.
+    payload = json.loads(cfg_file.read_text())
+    for path, value in edits:
+        section = payload if len(path) == 1 else payload[path[0]]
+        section[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, err = Path(tmp) / "config.json", Path(tmp) / "out", io.StringIO()
+        config.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = _run("run", "--config", config, "--out", out)
+        if rc == 0 or (rc == 2 and not out.exists()):
+            return
+        record = json.loads(err.getvalue().strip().splitlines()[-1])
+    assert record["message"].startswith(_RUN_ERRORS.get(rc, ())), (rc, record)
 
 
 def _name_unknown_query(path):

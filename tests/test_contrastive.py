@@ -6,6 +6,7 @@ loss = -log(exp(s+/t) / sum_j exp(s_j/t)) before being frozen as constants.
 
 import collections
 import copy
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -130,14 +131,6 @@ def test_info_nce_monotone_in_positive_similarity():
         if last is not None:
             assert loss < last
         last = loss
-
-
-def test_info_nce_input_validation():
-    q = np.array([1.0, 0.0])
-    with pytest.raises(InvalidInputError):
-        _info_nce(q, q, np.zeros((0, 2)), 0.07)  # an empty bank
-    with pytest.raises(InvalidInputError):
-        _info_nce(q, q, [[0.0, 1.0]], 0.0)
 
 
 @given(
@@ -384,13 +377,26 @@ def test_tsd_epoch_skips_singleton_segments():
 
 
 def test_contrastive_config_validation():
-    with pytest.raises(InvalidInputError):
-        ctr.ContrastiveConfig(temperature=0.0).validate()
-    with pytest.raises(InvalidInputError):
-        ctr.ContrastiveConfig(bank_size=100, batch_size=64).validate()
-    with pytest.raises(InvalidInputError):
-        ctr.ContrastiveConfig(key_momentum=1.5).validate()
-    ctr.ContrastiveConfig().validate()
+    # A config is checked when it is built, by its constructor and by every
+    # dataclasses.replace, so no step downstream re-checks its values.
+    bad = [
+        ("temperature", 0.0),
+        ("temperature", float("nan")),
+        ("bank_size", 100),  # not a multiple of the batch of 256
+        ("key_momentum", 1.5),
+        ("epochs_tsd", -1),
+        ("base_lr", -0.1),
+        ("aug_strength", -0.1),
+        ("weight_decay", -5.0),
+        ("sgd_momentum", 1.0),
+        ("sgd_momentum", -0.1),
+    ]
+    for field, value in bad:
+        with pytest.raises(InvalidInputError):
+            ctr.ContrastiveConfig(**{field: value})
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(ctr.ContrastiveConfig(), **{field: value})
+    ctr.ContrastiveConfig(base_lr=0.0, aug_strength=0.0, weight_decay=0.0, sgd_momentum=0.0, key_momentum=1.0)
 
 
 def test_steady_state_step_stays_below_the_mmap_threshold():

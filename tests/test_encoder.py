@@ -243,16 +243,6 @@ def test_sgd_step_rejects_nonfinite_gradient():
         enc.sgd_step(params, grads, optim, lr=0.1)
 
 
-def test_sgd_step_negative_lr_rejected():
-    params = enc.EncoderParams(
-        dims=(1, 1), weights=[np.array([[1.0]])], biases=[np.array([0.0])]
-    )
-    optim = enc.OptimState.for_params(params)
-    grads = enc.EncoderGrads(weights=[np.array([[0.0]])], biases=[np.array([0.0])])
-    with pytest.raises(InvalidInputError):
-        enc.sgd_step(params, grads, optim, lr=-1.0)
-
-
 def test_cosine_lr_endpoints_and_midpoint():
     assert enc.cosine_lr(0, 10, 0.03) == pytest.approx(0.03, abs=1e-15)
     assert enc.cosine_lr(10, 10, 0.03) == pytest.approx(0.0, abs=1e-15)

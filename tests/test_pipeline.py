@@ -80,16 +80,22 @@ def test_fingerprint_tracks_config(tiny_cfg):
 
 
 def test_config_validation_catches_bad_fields(tiny_cfg):
+    # Checked when built: every dataclasses.replace of a config checks it, as
+    # its constructor does.
+    for fields in (
+        {"encoder_dims": (32, 16)},  # d_obs mismatch
+        {"min_len": 0},
+        {"ccr_k": 7},  # > n_cameras
+        {"precision": "f16"},
+        {"seed": -1},
+        {"query_frac": float("nan")},
+    ):
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(tiny_cfg, **fields)
     with pytest.raises(InvalidInputError):
-        dataclasses.replace(tiny_cfg, encoder_dims=(32, 16)).validate()  # d_obs mismatch
+        pl.PipelineConfig(n_cameras=1)
     with pytest.raises(InvalidInputError):
-        dataclasses.replace(tiny_cfg, min_len=0).validate()
-    with pytest.raises(InvalidInputError):
-        dataclasses.replace(tiny_cfg, ccr_k=7).validate()  # > n_cameras
-    with pytest.raises(InvalidInputError):
-        dataclasses.replace(tiny_cfg, precision="f16").validate()
-    with pytest.raises(InvalidInputError):
-        dataclasses.replace(tiny_cfg, seed=-1).validate()
+        pl.PipelineConfig(stream=tiny_cfg.stream)  # d_obs 24 against the default encoder_dims' 64
 
 
 def test_derive_seed_is_stable():

@@ -273,23 +273,53 @@ def test_augment_batch_matches_plain_formula(dtype):
 def test_augment_validation():
     rng = np.random.default_rng(4)
     with pytest.raises(InvalidInputError):
-        synth.augment_batch(np.zeros((2, 3)), rng, -0.1)
-    with pytest.raises(InvalidInputError):
         synth.augment_batch(np.array([[np.inf, 0.0]]), rng, 0.5)
 
 
 def test_stream_config_validation():
-    with pytest.raises(InvalidInputError):
-        dataclasses.replace(SMALL, dropout_prob=1.5).validate()
-    with pytest.raises(InvalidInputError):
-        dataclasses.replace(SMALL, d_obs=8, d_latent=16).validate()
-    with pytest.raises(InvalidInputError):
-        dataclasses.replace(SMALL, pose_dim=0).validate()
-    with pytest.raises(InvalidInputError):
-        dataclasses.replace(SMALL, pose_persistence=1.0).validate()
-    with pytest.raises(InvalidInputError):
-        dataclasses.replace(SMALL, bias_scale=-0.1).validate()
-    SMALL.validate()
+    # Checked when built, by the constructor and by every dataclasses.replace.
+    bad = [
+        {"dropout_prob": 1.5},
+        {"d_obs": 8, "d_latent": 16},
+        {"pose_dim": 0},
+        {"pose_persistence": 1.0},
+        {"bias_scale": -0.1},
+        {"noise_sigma": float("nan")},
+        {"duration_frames": 0},
+        {"entry_rate": -0.1},
+        {"dwell_mean": 0.5},
+    ]
+    for fields in bad:
+        with pytest.raises(InvalidInputError):
+            synth.StreamConfig(**fields)
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(SMALL, **fields)
+
+
+def test_stream_config_takes_every_poisson_mean_numpy_draws():
+    # The stream draws entries from Poisson(entry_rate) and dwell times from
+    # 1 + Poisson(dwell_mean - 1); a mean numpy refuses is refused when the
+    # config is built, and the largest one it draws is kept.
+    rng = np.random.default_rng(0)
+    top = synth._POISSON_LAM_MAX
+    above = np.nextafter(top, np.inf)
+    rng.poisson(top)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(above)
+    synth.StreamConfig(entry_rate=top, dwell_mean=top + 1.0)
+    for fields in ({"entry_rate": above}, {"entry_rate": 1e30}, {"dwell_mean": above + 1.0}, {"dwell_mean": 1e30}):
+        with pytest.raises(InvalidInputError):
+            synth.StreamConfig(**fields)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_simulated_observations_that_overflow_the_dtype_are_refused():
+    # Each scale is finite, but their product overflows float32 in the cast;
+    # the stream stops there rather than hand infinities to training.
+    world = _world(config=dataclasses.replace(SMALL, warp_scale=1e30, pose_sigma=1e30))
+    with pytest.raises(DegenerateInputError, match="overflow float32"):
+        synth.simulate_stream(world, np.float32)
+    assert np.isfinite(synth.simulate_stream(world, np.float64).observations).all()
 
 
 def test_generate_world_validation():
